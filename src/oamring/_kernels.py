@@ -1,4 +1,4 @@
-"""Adaptive Runge-Kutta kernels for the interaction-picture state equations.
+"""Adaptive Runge-Kutta kernel for the interaction-picture state equations.
 
 The right-hand side is a sparse sum of oscillating couplings,
 
@@ -10,15 +10,15 @@ unit step), which keeps the accumulated norm drift of a whole run at the
 order of the requested tolerance rather than tolerance-per-step times the
 step count.
 
-Two implementations share one signature: a loop kernel compiled with numba
-(default) and a vectorized pure-numpy fallback.  Selection happens at import
-time through the environment variable ``OAMRING_BACKEND`` ("numba" or
-"numpy"); ``benchmarks/backend_bench.py`` times one against the other.
+The state is either one amplitude vector of shape (dim,) or a matrix of
+shape (dim, k) whose columns are stepped together, such as a propagator
+started from the identity.  A vector state scatters the terms straight into
+the derivative; a matrix state assembles the dense coupling matrix H(t) once
+per stage and multiplies.  The error norm is the root mean square over every
+entry of the state either way.
 
 Status codes: 0 ok, 1 step-size underflow, 2 step budget exhausted.
 """
-
-import os
 
 import numpy as np
 
@@ -41,26 +41,60 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
 MAX_STEPS = 50_000_000
 
 
-def _integrate_numpy(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total):
-    """Pure-numpy reference implementation of the stepping loop."""
-    dim = c0.shape[0]
-    n_samples = sample_times.shape[0]
-    out = np.zeros((n_samples, dim), dtype=np.complex128)
-
+def _vector_rhs(dim, rows, cols, camps, nus):
     def rhs(t, c):
         dc = np.zeros(dim, dtype=np.complex128)
         if camps.shape[0]:
             np.add.at(dc, rows, camps * np.exp(1j * nus * t) * c[cols])
         return dc
+    return rhs
+
+
+def _matrix_rhs(dim, rows, cols, camps, nus):
+    # terms sorted by matrix entry, so each entry's sum is one reduceat run
+    flat = rows * dim + cols
+    order = np.argsort(flat, kind="stable")
+    flat, camps, nus = flat[order], camps[order], nus[order]
+    entries, starts = np.unique(flat, return_index=True)
+
+    def rhs(t, c):
+        h = np.zeros(dim * dim, dtype=np.complex128)
+        if camps.shape[0]:
+            h[entries] = np.add.reduceat(camps * np.exp(1j * nus * t), starts)
+        return h.reshape(dim, dim) @ c
+    return rhs
+
+
+def integrate(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total,
+              probes=None):
+    """Step ``c0`` from ``t0`` through the non-decreasing ``sample_times``.
+
+    Returns ``(out, n_steps, status)``.  ``out[i]`` is the state at
+    ``sample_times[i]``, or, when ``probes`` (shape (n_samples, k)) is given
+    for a matrix state, the vector ``state @ probes[i]``, so that no
+    per-sample matrix is kept.  ``t_total`` sets the error budget per unit
+    time and the smallest admissible step; pass the duration of the whole run
+    the integration belongs to.
+    """
+    c0 = np.asarray(c0, dtype=np.complex128)
+    dim = c0.shape[0]
+    n_samples = sample_times.shape[0]
+    make_rhs = _vector_rhs if c0.ndim == 1 else _matrix_rhs
+    rhs = make_rhs(dim, rows, cols, camps, nus)
+    shape = c0.shape if probes is None else (dim,)
+    out = np.zeros((n_samples,) + shape, dtype=np.complex128)
+
+    def record(i, y):
+        out[i] = y if probes is None else y @ probes[i]
 
     t = t0
-    y = c0.astype(np.complex128).copy()
+    y = c0.copy()
     k1 = rhs(t, y)
     h = t_total * 1e-6
     h_floor = 16.0 * np.finfo(np.float64).eps * t_total
     isample = 0
     while isample < n_samples and sample_times[isample] <= t:
-        out[isample] = y
+        record(isample, y)
         isample += 1
 
     n_steps = 0
@@ -96,129 +130,12 @@ def _integrate_numpy(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total)
             k1 = k7
             if hit:
                 while isample < n_samples and sample_times[isample] <= t:
-                    out[isample] = y
+                    record(isample, y)
                     isample += 1
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (target / err) ** 0.25))
-            h = h_step * factor
+            # a step shortened to land on a sample says nothing about the
+            # step size the solution allows; keep the untruncated proposal
+            h = max(h, h_step * factor) if hit else h_step * factor
         else:
             h = h_step * max(0.1, 0.9 * (target / err) ** 0.25)
     return out, n_steps, 0
-
-
-def _integrate_loops(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total):
-    """Loop form of the same algorithm; this is what numba compiles."""
-    dim = c0.shape[0]
-    n_terms = rows.shape[0]
-    n_samples = sample_times.shape[0]
-    out = np.zeros((n_samples, dim), dtype=np.complex128)
-
-    k1 = np.zeros(dim, dtype=np.complex128)
-    k2 = np.zeros(dim, dtype=np.complex128)
-    k3 = np.zeros(dim, dtype=np.complex128)
-    k4 = np.zeros(dim, dtype=np.complex128)
-    k5 = np.zeros(dim, dtype=np.complex128)
-    k6 = np.zeros(dim, dtype=np.complex128)
-    k7 = np.zeros(dim, dtype=np.complex128)
-    stage = np.zeros(dim, dtype=np.complex128)
-    y = c0.astype(np.complex128).copy()
-    y_new = np.zeros(dim, dtype=np.complex128)
-
-    def _rhs(t, c, dc):
-        for i in range(dim):
-            dc[i] = 0.0 + 0.0j
-        for j in range(n_terms):
-            dc[rows[j]] += camps[j] * np.exp(1j * nus[j] * t) * c[cols[j]]
-
-    t = t0
-    _rhs(t, y, k1)
-    h = t_total * 1e-6
-    h_floor = 16.0 * 2.220446049250313e-16 * t_total
-    isample = 0
-    while isample < n_samples and sample_times[isample] <= t:
-        out[isample] = y
-        isample += 1
-
-    n_steps = 0
-    while isample < n_samples:
-        n_steps += 1
-        if n_steps > MAX_STEPS:
-            return out, n_steps, 2
-        if h < h_floor:
-            return out, n_steps, 1
-        target_t = sample_times[isample]
-        hit = t + h >= target_t
-        h_step = target_t - t if hit else h
-
-        for i in range(dim):
-            stage[i] = y[i] + h_step * (_A21 * k1[i])
-        _rhs(t + _C2 * h_step, stage, k2)
-        for i in range(dim):
-            stage[i] = y[i] + h_step * (_A31 * k1[i] + _A32 * k2[i])
-        _rhs(t + _C3 * h_step, stage, k3)
-        for i in range(dim):
-            stage[i] = y[i] + h_step * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i])
-        _rhs(t + _C4 * h_step, stage, k4)
-        for i in range(dim):
-            stage[i] = y[i] + h_step * (_A51 * k1[i] + _A52 * k2[i]
-                                        + _A53 * k3[i] + _A54 * k4[i])
-        _rhs(t + _C5 * h_step, stage, k5)
-        for i in range(dim):
-            stage[i] = y[i] + h_step * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i]
-                                        + _A64 * k4[i] + _A65 * k5[i])
-        _rhs(t + h_step, stage, k6)
-        for i in range(dim):
-            y_new[i] = y[i] + h_step * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i]
-                                        + _B5 * k5[i] + _B6 * k6[i])
-        _rhs(t + h_step, y_new, k7)
-
-        err_sq = 0.0
-        for i in range(dim):
-            ev = h_step * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i]
-                           + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i])
-            err_sq += ev.real * ev.real + ev.imag * ev.imag
-        err = np.sqrt(err_sq / dim)
-        target = tol * h_step / t_total
-
-        if err <= target:
-            t = target_t if hit else t + h_step
-            for i in range(dim):
-                y[i] = y_new[i]
-                k1[i] = k7[i]
-            if hit:
-                while isample < n_samples and sample_times[isample] <= t:
-                    out[isample] = y
-                    isample += 1
-            if err == 0.0:
-                factor = 5.0
-            else:
-                factor = min(5.0, max(0.2, 0.9 * (target / err) ** 0.25))
-            h = h_step * factor
-        else:
-            h = h_step * max(0.1, 0.9 * (target / err) ** 0.25)
-    return out, n_steps, 0
-
-
-try:
-    from numba import njit
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    _HAVE_NUMBA = False
-
-integrate_numpy = _integrate_numpy
-integrate_numba = njit(cache=True)(_integrate_loops) if _HAVE_NUMBA else None
-
-_requested = os.environ.get("OAMRING_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(
-        f"OAMRING_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-if _requested == "numba" and not _HAVE_NUMBA:
-    raise RuntimeError("OAMRING_BACKEND=numba requested but numba is not importable")
-
-_USE_NUMBA = _HAVE_NUMBA and _requested != "numpy"
-integrate = integrate_numba if _USE_NUMBA else integrate_numpy
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if _USE_NUMBA else "numpy"

@@ -27,7 +27,6 @@ from .ring import (level_energy, level_supercurrent,
 from .twoqubit import controlled_phase, cz_fidelity, cz_gate_time
 from .workbench import (FeasibilityReport, ResolvedModel,
                         build_feasibility_report, resolve)
-from ._kernels import active_backend
 
 SCHEMA = "oamring.report/1"
 
@@ -206,8 +205,7 @@ def cmd_dynamics(model: ResolvedModel, args) -> CommandResult:
         rows.append(row)
     columns = ([("t", "s")] + [(f"P_{n}", "") for n in shown]
                + [("norm", ""), ("dipole", "C*m")])
-    meta = {"mode": mode, "tol": repr(sim.tol), "n_max": str(sim.n_max),
-            "backend": active_backend()}
+    meta = {"mode": mode, "tol": repr(sim.tol), "n_max": str(sim.n_max)}
     return CommandResult("dynamics", columns, rows, meta)
 
 

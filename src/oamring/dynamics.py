@@ -5,8 +5,15 @@ Evolution runs in the interaction picture: the state is expanded on the ring
 eigenfunctions including their energy phases, so the equations of motion
 contain only the coupling beats (differences of drive and transition
 frequencies), never the bare optical carrier.  ``evolve`` assembles the
-coupling term list once and hands the stepping to the compiled kernel in
+coupling term list once and hands the stepping to the kernel in
 ``_kernels``.
+
+Full (non-RWA) runs that span many drive periods still carry the carrier in
+their beats, but the lab-frame Hamiltonian repeats exactly with the drive
+period.  Those runs step one period to get the Floquet monodromy, reach each
+sample's period by powering it, and step once more within a period for the
+sample phases (``_evolve_floquet``), so their cost no longer grows with the
+number of carrier cycles.  RWA runs and short full runs step directly.
 """
 
 import math
@@ -124,6 +131,92 @@ def _build_term_arrays(drive, params, n_max, constants):
             np.asarray(nus, dtype=np.float64))
 
 
+def floquet_min_periods(n_max: int) -> float:
+    """Shortest full-mode run, in drive periods, that takes the Floquet path.
+
+    The Floquet passes step every basis column, and high windings beat fast,
+    so a period of them costs about n_max^2 / 8 periods of direct stepping
+    from a low level (measured for n_max 4 to 32).  Shorter runs are cheaper
+    to step directly.
+    """
+    return 8.0 + n_max * n_max / 8.0
+
+
+def _step(c0, t0, times, terms, tol, t_total, probes=None):
+    """Run the kernel and turn a failure status into an exception."""
+    out, n_steps, status = _kernels.integrate(c0, t0, times, *terms, tol,
+                                              t_total, probes)
+    if status == 1:
+        raise StepSizeUnderflow(
+            f"step size underflow after {n_steps} steps (tol={tol})")
+    if status == 2:
+        raise StepSizeUnderflow(
+            f"step budget exhausted after {n_steps} steps (tol={tol})")
+    return out, int(n_steps)
+
+
+def _split_periods(times, t0, period):
+    """Split ``times - t0`` into whole periods m (Python ints) and phases tau.
+
+    Times within a few rounding units of a period boundary split as
+    (boundary, 0), so a sample on t0 + jT lands on the same (j, 0) however its
+    time was rounded.  Python ints keep m exact at any period count.
+    """
+    offsets = times - t0
+    tau = np.fmod(offsets, period)
+    whole = np.rint((offsets - tau) / period)
+    slack = 8.0 * np.finfo(np.float64).eps * float(np.max(np.abs(times)))
+    up = tau > max(period - slack, 0.5 * period)
+    whole[up] += 1.0
+    tau[up | (tau < slack)] = 0.0
+    return [int(v) for v in whole], tau
+
+
+def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
+    """Amplitudes at ``times`` from stepping one drive period twice.
+
+    The lab-frame Hamiltonian repeats with the drive period T.  With
+    D(t) = diag(exp(-i omega_n t)) the interaction-picture propagator obeys
+
+        U_I(t0 + mT + tau, t0) = D(mT)^* U_I(t0 + tau, t0) P^m,
+        P = D(T) U_I(t0 + T, t0)          (the monodromy).
+
+    Pass 1 steps the identity over one period to get P.  Each sample splits
+    as t_k = t0 + m_k T + tau_k and w_k = P^{m_k} c0 follows by binary
+    powering in order of m_k.  Pass 2 steps the identity again, stopping at
+    the sorted tau_k, and keeps only the vector U_I(tau_k) w_k of each
+    sample.  The error budget per unit time stays that of the whole run.
+    """
+    dim = c0.shape[0]
+    eye = np.eye(dim, dtype=np.complex128)
+    u_period, steps = _step(eye, t0, np.array([t0 + period]), terms, tol,
+                            t_total)
+    powers = [np.exp(-1j * omega_levels * period)[:, None] * u_period[0]]
+
+    whole, tau = _split_periods(times, t0, period)
+    w = np.empty((times.size, dim), dtype=np.complex128)
+    state, done = c0, 0
+    for k, m in enumerate(whole):
+        rest, bit = m - done, 0
+        while rest:
+            if bit == len(powers):
+                powers.append(powers[-1] @ powers[-1])
+            if rest & 1:
+                state = powers[bit] @ state
+            rest >>= 1
+            bit += 1
+        w[k], done = state, m
+
+    order = np.argsort(tau, kind="stable")
+    sampled, more = _step(eye, t0, t0 + tau[order], terms, tol, t_total,
+                          probes=w[order])
+    out = np.empty_like(sampled)
+    out[order] = sampled
+    frame = np.exp(1j * np.outer(np.array(whole, dtype=float) * period,
+                                 omega_levels))
+    return frame * out, steps + more
+
+
 def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
            t_final: float, tol: float = 1e-9, mode: str = "full",
            sample_times: Optional[Sequence[float]] = None,
@@ -137,6 +230,10 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
         "full" keeps every coupling term including static level shifts;
         "rwa" keeps only terms whose beat magnitude is below the cutoff
         (drive frequency / 10 unless ``rwa_cutoff`` overrides it).
+        Full runs of at least ``floquet_min_periods(n_max)`` drive periods are
+        propagated period by period with the Floquet monodromy instead of
+        stepping every carrier cycle; the result is the same to the
+        integration tolerance.
     tol : float
         Accumulated local-error budget for the whole run; the norm drift
         stays below 10 * tol.
@@ -176,17 +273,19 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
         cutoff = drive.omega / 10.0 if rwa_cutoff is None else rwa_cutoff
         keep = np.abs(nus) < cutoff
         rows, cols, camps, nus = rows[keep], cols[keep], camps[keep], nus[keep]
+    terms = (rows, cols, camps, nus)
 
     amps0 = np.asarray(initial.amplitudes, dtype=np.complex128)
-    out, n_steps, status = _kernels.integrate(
-        amps0, float(t0), times, rows, cols, camps, nus, float(tol),
-        float(t_final))
-    if status == 1:
-        raise StepSizeUnderflow(
-            f"step size underflow after {n_steps} steps (tol={tol})")
-    if status == 2:
-        raise StepSizeUnderflow(
-            f"step budget exhausted after {n_steps} steps (tol={tol})")
+    period = 2.0 * math.pi / drive.omega
+    if mode == "full" and t_final >= floquet_min_periods(initial.n_max) * period:
+        omega_levels = np.array([level_angular_frequency(n, params, constants)
+                                 for n in range(-initial.n_max, initial.n_max + 1)])
+        out, n_steps = _evolve_floquet(amps0, float(t0), times, terms,
+                                       float(tol), float(t_final), period,
+                                       omega_levels)
+    else:
+        out, n_steps = _step(amps0, float(t0), times, terms, float(tol),
+                             float(t_final))
 
     norm_tol = max(1e-9, 10.0 * tol)
     states = tuple(

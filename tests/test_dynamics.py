@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oamring.beam import BeamDrive, Polarization
+from oamring import _kernels, load_bundled_config, resolve
+from oamring.beam import BeamDrive, Polarization, azimuthal_component
 from oamring.constants import CONSTANTS
 from oamring.coupling import rabi_frequency
-from oamring.dynamics import (StateVector, density_profile, dipole_moment,
-                              evolve, pattern_rotation_check)
+from oamring.dynamics import (StateVector, _build_term_arrays, _split_periods,
+                              _step, density_profile, dipole_moment, evolve,
+                              floquet_min_periods, pattern_rotation_check)
 from oamring.errors import NotTwoLevel, StepSizeUnderflow
 from oamring.ring import transition_angular_frequency
 
@@ -177,6 +179,106 @@ def test_step_size_underflow(chain_params):
     initial = StateVector.from_levels({0: 1.0}, n_max=4)
     with pytest.raises(StepSizeUnderflow):
         evolve(initial, beam, chain_params, 1.0, tol=1e-10, n_samples=3)
+
+
+def test_close_sample_times_do_not_underflow():
+    model = resolve(load_bundled_config())
+    initial = StateVector.from_levels({0: 1.0}, n_max=8)
+    traj = evolve(initial, model.drive, model.params, 2e-13, tol=1e-9,
+                  mode="rwa", sample_times=[0.0, 1e-13, 1e-13 + 1e-28, 2e-13])
+    np.testing.assert_allclose(traj.populations[1], traj.populations[2],
+                               rtol=0, atol=1e-12)
+
+
+def _direct_amplitudes(initial, beam, params, times, tol, t_final):
+    terms = _build_term_arrays(azimuthal_component(beam), params,
+                               initial.n_max, CONSTANTS)
+    out, _ = _step(initial.amplitudes, initial.reference_time, times, terms,
+                   tol, t_final)
+    return out
+
+
+@pytest.mark.parametrize("n_max", [4, 8, 16])
+def test_floquet_matches_direct_stepping(chain_params, w20, n_max):
+    # complex amplitudes, not populations: a lost frame phase shows only here,
+    # and only off resonance, where the even levels' phases over a period
+    # are not whole turns
+    omega_rabi = rabi_frequency(chain_params, PUBLISHED_A0)
+    beam = BeamDrive(1, w20 + 2 * omega_rabi, PUBLISHED_A0,
+                     Polarization.linear_x())
+    period = 2 * np.pi / beam.omega
+    t0 = 5e-12
+    n_periods = floquet_min_periods(n_max) + 2.5
+    times = t0 + period * np.r_[0.0, 1.0, 2.0,
+                                np.linspace(2.3, n_periods, 12)]
+    initial = StateVector.from_levels({0: 0.8, 1: 0.36j, 2: 0.48}, n_max=n_max,
+                                      reference_time=t0)
+    traj = evolve(initial, beam, chain_params, n_periods * period,
+                  tol=1e-9, mode="full", sample_times=times)
+    floquet = np.array([state.amplitudes for state in traj.states])
+    direct = _direct_amplitudes(initial, beam, chain_params, times, 1e-9,
+                                n_periods * period)
+    assert np.max(np.abs(floquet - direct)) < 1e-10
+
+
+def test_path_choice_follows_run_shape(monkeypatch, chain_params, lg01_beam):
+    state_ranks = []
+    real = _kernels.integrate
+
+    def spy(c0, *args):
+        state_ranks.append(np.ndim(c0))
+        return real(c0, *args)
+
+    monkeypatch.setattr(_kernels, "integrate", spy)
+    period = 2 * np.pi / lg01_beam.omega
+    initial = StateVector.from_levels({0: 1.0}, n_max=4)
+    shortest = floquet_min_periods(4) * period
+    for mode, t_final, ranks in [("full", shortest, [2, 2]),
+                                 ("full", 0.9 * shortest, [1]),
+                                 ("rwa", shortest, [1])]:
+        state_ranks.clear()
+        evolve(initial, lg01_beam, chain_params, t_final, tol=1e-6, mode=mode,
+               n_samples=5)
+        assert state_ranks == ranks, mode
+
+
+def test_floquet_period_boundary_samples(chain_params, lg01_beam):
+    # t0 + jT rounded either way splits as (j, 0), never as (j - 1, ~T)
+    period = 2 * np.pi / lg01_beam.omega
+    t0 = 3e-12
+    initial = StateVector.from_levels({0: 1.0}, n_max=4, reference_time=t0)
+    t_final = 40 * period
+    boundary = t0 + 17 * period
+    states = []
+    for shift in (-4, 0, 4):
+        at = boundary + shift * np.spacing(boundary)
+        traj = evolve(initial, lg01_beam, chain_params, t_final, tol=1e-6,
+                      mode="full",
+                      sample_times=[t0, t0 + 3.5 * period, at, t0 + t_final])
+        states.append(traj.states[2].amplitudes)
+    np.testing.assert_array_equal(states[0], states[1])
+    np.testing.assert_array_equal(states[2], states[1])
+
+
+def test_split_periods_exact_at_huge_counts():
+    whole, tau = _split_periods(np.array([0.0, 1.0, 2.5]), 0.0, 1e-30)
+    assert all(isinstance(m, int) for m in whole)
+    assert whole[0] == 0 and whole[1] > 2 ** 64
+    assert np.all((tau >= 0.0) & (tau < 1e-30))
+
+
+def test_floquet_cost_flat_in_period_count(chain_params, lg01_beam):
+    period = 2 * np.pi / lg01_beam.omega
+    initial = StateVector.from_levels({0: 1.0}, n_max=4)
+    steps = []
+    for n_periods in (1e3, 1e5):
+        traj = evolve(initial, lg01_beam, chain_params, n_periods * period,
+                      tol=1e-6, mode="full", n_samples=5)
+        assert np.max(np.abs(traj.norms - 1.0)) < 10 * 1e-6
+        steps.append(traj.n_steps)
+    # direct stepping would take a hundred times as many; the tighter error
+    # budget per period costs a few times more steps per pass
+    assert steps[1] < 5 * steps[0]
 
 
 def test_density_uniform_ground_state(chain_params):
