@@ -194,15 +194,10 @@ def cmd_dynamics(model: ResolvedModel, args) -> CommandResult:
     traj = evolve(initial, model.drive, model.params, t_final,
                   tol=sim.tol, mode=mode, n_samples=args.samples)
     shown = [n for n in range(-4, 5) if abs(n) <= sim.n_max]
-    rows = []
-    for i, t in enumerate(traj.times):
-        row: List[object] = [float(t)]
-        for n in shown:
-            row.append(float(traj.populations[i, n + sim.n_max]))
-        row.append(float(traj.norms[i]))
-        dip = dipole_moment(traj.states[i], model.params, float(t))
-        row.append(float(np.hypot(dip[0], dip[1])))
-        rows.append(row)
+    dip = dipole_moment(traj, model.params, traj.times)
+    rows = np.column_stack([
+        traj.times, traj.populations[:, [n + sim.n_max for n in shown]],
+        traj.norms, np.hypot(dip[:, 0], dip[:, 1])]).tolist()
     columns = ([("t", "s")] + [(f"P_{n}", "") for n in shown]
                + [("norm", ""), ("dipole", "C*m")])
     meta = {"mode": mode, "tol": repr(sim.tol), "n_max": str(sim.n_max)}

@@ -14,11 +14,12 @@ period.  Those runs step one period to get the Floquet monodromy, reach each
 sample's period by powering it, and step once more within a period for the
 sample phases (``_evolve_floquet``), so their cost no longer grows with the
 number of carrier cycles.  RWA runs and short full runs step directly.
+A ``Trajectory`` keeps the samples as one (n_samples, dim) amplitude array.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import NotTwoLevel, StepSizeUnderflow
 from .ring import DEFAULT_N_MAX, RingParams, level_angular_frequency
 
 _SUPPORT_TOL = 1e-12
+NORM_TOL = 1e-9     # accepted deviation of sum |c_n|^2 from 1
 TOL_RANGE = (1e-13, 1e-6)
 
 
@@ -37,16 +39,13 @@ TOL_RANGE = (1e-13, 1e-6)
 class StateVector:
     """Complex amplitudes c_n over windings n in [-n_max, n_max].
 
-    The coefficient vector is unit-normalized (the macroscopic pair count
-    enters only through density/dipole operations).  ``norm_tol`` is the
-    accepted deviation of sum |c_n|^2 from 1; evolved states carry the norm
-    drift allowance of the integration that produced them.
+    The coefficient vector is unit-normalized to ``NORM_TOL`` (the
+    macroscopic pair count enters only through density/dipole operations).
     """
 
     n_max: int
     amplitudes: np.ndarray
     reference_time: float = 0.0
-    norm_tol: float = 1e-9
 
     def __post_init__(self):
         if self.n_max < 0:
@@ -56,7 +55,7 @@ class StateVector:
             raise ValueError(
                 f"amplitudes must have shape ({2 * self.n_max + 1},), got {amps.shape}")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > self.norm_tol:
+        if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |c_n|^2 = {norm}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -96,20 +95,23 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled evolution: times, states, per-level populations, norms."""
+    """Sampled evolution: times, amplitudes, per-level populations, norms."""
 
     times: np.ndarray
-    states: Tuple[StateVector, ...]
-    populations: np.ndarray     # shape (n_samples, 2 n_max + 1)
-    norms: np.ndarray           # raw sum |c_n|^2 at each sample
+    amplitudes: np.ndarray      # shape (n_samples, 2 n_max + 1)
     n_steps: int = 0
+    populations: np.ndarray = field(init=False)     # |c_n|^2 per sample
+    norms: np.ndarray = field(init=False)           # raw sum |c_n|^2
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("sample times must be strictly increasing")
+        populations = np.abs(self.amplitudes) ** 2
+        object.__setattr__(self, "populations", populations)
+        object.__setattr__(self, "norms", populations.sum(axis=1))
 
     def population_of(self, n: int) -> np.ndarray:
-        n_max = self.states[0].n_max
+        n_max = (self.amplitudes.shape[1] - 1) // 2
         if abs(n) > n_max:
             raise ValueError(f"level {n} outside basis |n| <= {n_max}")
         return self.populations[:, n + n_max]
@@ -256,6 +258,8 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
 
     t0 = initial.reference_time
     if sample_times is None:
+        if n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
         times = t0 + np.linspace(0.0, t_final, n_samples)
     else:
         times = np.asarray(sample_times, dtype=float)
@@ -287,16 +291,11 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
         out, n_steps = _step(amps0, float(t0), times, terms, float(tol),
                              float(t_final))
 
-    norm_tol = max(1e-9, 10.0 * tol)
-    states = tuple(
-        StateVector(n_max=initial.n_max, amplitudes=out[i],
-                    reference_time=float(times[i]), norm_tol=norm_tol)
-        for i in range(times.size)
-    )
-    populations = np.abs(out) ** 2
-    norms = populations.sum(axis=1)
-    return Trajectory(times=times, states=states, populations=populations,
-                      norms=norms, n_steps=int(n_steps))
+    traj = Trajectory(times=times, amplitudes=out, n_steps=int(n_steps))
+    bad = np.flatnonzero(np.abs(traj.norms - 1.0) > max(NORM_TOL, 10.0 * tol))
+    if bad.size:
+        raise ValueError(f"state not normalized: sum |c_n|^2 = {traj.norms[bad[0]]}")
+    return traj
 
 
 def density_profile(state: StateVector, params: RingParams, phi, t: float,
@@ -318,20 +317,25 @@ def density_profile(state: StateVector, params: RingParams, phi, t: float,
     return float(dens) if dens.ndim == 0 else dens
 
 
-def dipole_moment(state: StateVector, params: RingParams, t: float,
-                  n_points: int = 512,
+def dipole_moment(state, params: RingParams, t,
                   constants: Constants = CONSTANTS) -> np.ndarray:
-    """In-plane electric dipole (d_x, d_y) in C m, by quadrature.
+    """In-plane electric dipole (d_x, d_y) in C m, shape (..., 2).
 
-    q* r * integral of density(phi) (cos phi, sin phi) dphi over one turn;
-    the periodic trapezoidal rule is exact for these band-limited profiles.
+    Only adjacent windings contribute to the density's first angular moment:
+    d_x + i d_y = q* r N* sum_n c_{n+1} conj(c_n) exp(-i omega_{n+1,n} t).
+    Takes a ``StateVector`` at a scalar ``t`` or a ``Trajectory`` at its times.
     """
-    phi = np.arange(n_points) * (2.0 * math.pi / n_points)
-    dens = density_profile(state, params, phi, t, constants)
-    w = 2.0 * math.pi / n_points
-    scale = constants.cooper_charge * params.design.radius * w
-    return np.array([scale * float(np.sum(dens * np.cos(phi))),
-                     scale * float(np.sum(dens * np.sin(phi)))])
+    amps = state.amplitudes
+    n_max = (amps.shape[-1] - 1) // 2
+    beats = np.diff(level_angular_frequency(np.arange(-n_max, n_max + 1),
+                                            params, constants))
+    t = np.asarray(t, dtype=float)
+    moment = np.zeros(np.broadcast_shapes(amps.shape[:-1], t.shape),
+                      dtype=complex)
+    for j, beat in enumerate(beats):
+        moment += amps[..., j + 1] * amps[..., j].conj() * np.exp(-1j * beat * t)
+    moment *= constants.cooper_charge * params.design.radius * params.n_pairs
+    return np.stack([moment.real, moment.imag], axis=-1)
 
 
 def pattern_rotation_check(state: StateVector, params: RingParams, dt: float,

@@ -162,6 +162,15 @@ def test_dynamics_table_runs():
     assert "P_2" in text and "dipole" in text
 
 
+@pytest.mark.parametrize("mode, t_final", [("rwa", "1e-12"),
+                                            ("full", "1e-11")])
+def test_dynamics_zero_samples_is_usage_error(mode, t_final):
+    code, text = run(["dynamics", "--samples", "0", "--mode", mode,
+                      "--t-final", t_final])
+    assert code == 1
+    assert text.startswith("error:") and "n_samples" in text
+
+
 def test_czgate_reaches_unit_fidelity():
     code, text = run(["--format", "json", "czgate", "--samples", "5"])
     assert code == 0

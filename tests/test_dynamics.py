@@ -7,9 +7,10 @@ from oamring import _kernels, load_bundled_config, resolve
 from oamring.beam import BeamDrive, Polarization, azimuthal_component
 from oamring.constants import CONSTANTS
 from oamring.coupling import rabi_frequency
-from oamring.dynamics import (StateVector, _build_term_arrays, _split_periods,
-                              _step, density_profile, dipole_moment, evolve,
-                              floquet_min_periods, pattern_rotation_check)
+from oamring.dynamics import (StateVector, Trajectory, _build_term_arrays,
+                              _split_periods, _step, density_profile,
+                              dipole_moment, evolve, floquet_min_periods,
+                              pattern_rotation_check)
 from oamring.errors import NotTwoLevel, StepSizeUnderflow
 from oamring.ring import transition_angular_frequency
 
@@ -70,6 +71,48 @@ def test_evolve_argument_validation(chain_params, lg01_beam):
     with pytest.raises(ValueError, match="sample_times"):
         evolve(initial, lg01_beam, chain_params, 1e-12,
                sample_times=[0.0, 2e-12])
+
+
+@pytest.mark.parametrize("mode, t_final", [("rwa", 1e-12), ("full", 1e-11)])
+def test_evolve_rejects_zero_samples(chain_params, lg01_beam, mode, t_final):
+    # 1e-11 s is past floquet_min_periods(4), so "full" takes the Floquet path
+    initial = StateVector.from_levels({0: 1.0}, n_max=4)
+    with pytest.raises(ValueError, match="n_samples"):
+        evolve(initial, lg01_beam, chain_params, t_final, tol=1e-6,
+               mode=mode, n_samples=0)
+
+
+def test_evolve_builds_no_state_vectors(monkeypatch, chain_params, lg01_beam):
+    built = []
+    real = StateVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    initial = StateVector.from_levels({0: 1.0}, n_max=8)
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    traj = evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9,
+                  mode="rwa", n_samples=2000)
+    assert traj.amplitudes.shape == (2000, 17)
+    assert built == []
+
+
+def test_evolve_rejects_norm_drift(monkeypatch, chain_params, lg01_beam):
+    # a drift past max(1e-9, 10 tol) in any sample must be rejected
+    real = _kernels.integrate
+
+    def drifting(*args):
+        out, n_steps, status = real(*args)
+        return out * (1.0 + 1e-7), n_steps, status
+
+    initial = StateVector.from_levels({0: 1.0}, n_max=4)
+    evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9, mode="rwa",
+           n_samples=11)
+    monkeypatch.setattr(_kernels, "integrate", drifting)
+    with pytest.raises(ValueError, match="state not normalized"):
+        evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9,
+               mode="rwa", n_samples=11)
 
 
 def test_rwa_matches_two_level_rabi(chain_params, lg01_beam, rabi_period):
@@ -215,7 +258,7 @@ def test_floquet_matches_direct_stepping(chain_params, w20, n_max):
                                       reference_time=t0)
     traj = evolve(initial, beam, chain_params, n_periods * period,
                   tol=1e-9, mode="full", sample_times=times)
-    floquet = np.array([state.amplitudes for state in traj.states])
+    floquet = traj.amplitudes
     direct = _direct_amplitudes(initial, beam, chain_params, times, 1e-9,
                                 n_periods * period)
     assert np.max(np.abs(floquet - direct)) < 1e-10
@@ -255,7 +298,7 @@ def test_floquet_period_boundary_samples(chain_params, lg01_beam):
         traj = evolve(initial, lg01_beam, chain_params, t_final, tol=1e-6,
                       mode="full",
                       sample_times=[t0, t0 + 3.5 * period, at, t0 + t_final])
-        states.append(traj.states[2].amplitudes)
+        states.append(traj.amplitudes[2])
     np.testing.assert_array_equal(states[0], states[1])
     np.testing.assert_array_equal(states[2], states[1])
 
@@ -320,10 +363,44 @@ def test_density_normalization_along_trajectory(chain_params, lg01_beam,
                   tol=1e-9, mode="rwa", n_samples=6)
     n_points = 512
     phi = np.arange(n_points) * (2 * np.pi / n_points)
-    for t, state in zip(traj.times, traj.states):
+    for t, amps in zip(traj.times, traj.amplitudes):
+        state = StateVector(n_max=8, amplitudes=amps)
         dens = density_profile(state, chain_params, phi, float(t))
         integral = float(np.sum(dens)) * (2 * np.pi / n_points)
         np.testing.assert_allclose(integral, chain_params.n_pairs, rtol=1e-10)
+
+
+def _quadrature_dipole(state, params, t, n_points=512):
+    # periodic trapezoid over one turn, exact for profiles band-limited
+    # below n_points
+    phi = np.arange(n_points) * (2 * np.pi / n_points)
+    dens = density_profile(state, params, phi, t)
+    weight = CONSTANTS.cooper_charge * params.design.radius * 2 * np.pi / n_points
+    return weight * np.array([np.sum(dens * np.cos(phi)),
+                              np.sum(dens * np.sin(phi))])
+
+
+@pytest.mark.parametrize("n_max", [1, 4, 8, 16, 32])
+def test_dipole_matches_quadrature_oracle(chain_params, n_max):
+    rng = np.random.default_rng(100 + n_max)
+    scale = (CONSTANTS.cooper_charge * chain_params.n_pairs
+             * chain_params.design.radius)
+    c = (rng.normal(size=(8, 2 * n_max + 1))
+         + 1j * rng.normal(size=(8, 2 * n_max + 1)))
+    traj = Trajectory(times=np.sort(rng.uniform(0.0, 1e-11, size=8)),
+                      amplitudes=c / np.linalg.norm(c, axis=1, keepdims=True))
+    stacked = dipole_moment(traj, chain_params, traj.times)
+    assert stacked.shape == (8, 2)
+    for t, amps, dip in zip(traj.times, traj.amplitudes, stacked):
+        state = StateVector(n_max=n_max, amplitudes=amps)
+        np.testing.assert_allclose(
+            dipole_moment(state, chain_params, t),
+            _quadrature_dipole(state, chain_params, t),
+            rtol=0, atol=1e-10 * scale)
+        # one call over the trajectory equals per-sample calls; vectorised
+        # and scalar complex products may round apart in the last bit
+        np.testing.assert_allclose(dip, dipole_moment(state, chain_params, t),
+                                   rtol=0, atol=64 * np.finfo(float).eps * scale)
 
 
 def test_dipole_qubit_subspace_dark(chain_params):
