@@ -1,7 +1,6 @@
 """Simulation workbench for a junction-free superconducting ring qubit
 controlled by the orbital angular momentum of light."""
 
-from .constants import CONSTANTS, Constants
 from .ring import (DEFAULT_N_MAX, EffectiveRadiusRule, Material, RingDesign,
                    RingParams, derive_ring_params, kinetic_inductance,
                    level_energy, level_supercurrent, ring_wavefunction,
@@ -23,7 +22,6 @@ from .workbench import build_feasibility_report, resolve
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS", "Constants",
     "DEFAULT_N_MAX", "EffectiveRadiusRule", "Material", "RingDesign",
     "RingParams", "derive_ring_params", "kinetic_inductance", "level_energy",
     "level_supercurrent", "ring_wavefunction", "self_inductance",

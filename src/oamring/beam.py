@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .constants import CONSTANTS, Constants
+from .constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
 from .errors import NonRealField
 
 _JONES_NORM_TOL = 1e-12
@@ -113,8 +113,7 @@ class IntensityConvention(Enum):
 
 
 def amplitude_from_intensity(intensity: float, omega: float,
-                             convention=IntensityConvention.PAPER_CONSISTENT,
-                             constants: Constants = CONSTANTS) -> float:
+                             convention=IntensityConvention.PAPER_CONSISTENT) -> float:
     """|A0| for a given intensity (W/m^2) and angular frequency (rad/s)."""
     if intensity < 0.0:
         raise ValueError("intensity must be non-negative")
@@ -122,7 +121,8 @@ def amplitude_from_intensity(intensity: float, omega: float,
         raise ValueError("omega must be positive")
     if not isinstance(convention, IntensityConvention):
         convention = IntensityConvention(convention)
-    base = math.sqrt(2.0 * intensity / (constants.c * constants.eps0 * omega ** 2))
+    base = math.sqrt(2.0 * intensity
+                     / (SPEED_OF_LIGHT * VACUUM_PERMITTIVITY * omega ** 2))
     if convention is IntensityConvention.PEAK_FIELD:
         return 0.5 * base
     return base

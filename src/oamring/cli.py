@@ -18,10 +18,10 @@ import numpy as np
 
 from .beam import azimuthal_component
 from .config import dumps_config, load_bundled_config, load_config
-from .constants import CONSTANTS
+from .constants import SPEED_OF_LIGHT
 from .coupling import rabi_frequency, resonance_catalog
 from .dynamics import StateVector, dipole_moment, evolve
-from .errors import ConfigError, OamRingError
+from .errors import ConfigError, OamRingError, TruncationExceeded
 from .ring import (level_energy, level_supercurrent,
                    transition_angular_frequency)
 from .twoqubit import controlled_phase, cz_fidelity, cz_gate_time
@@ -153,12 +153,16 @@ def cmd_spectrum(model: ResolvedModel, args) -> CommandResult:
 
 
 def cmd_selection(model: ResolvedModel, args) -> CommandResult:
-    entries = resonance_catalog(azimuthal_component(model.drive), model.params,
-                                n_init=args.initial,
-                                n_max=model.config.simulation.n_max)
+    try:
+        entries = resonance_catalog(azimuthal_component(model.drive),
+                                    model.params, n_init=args.initial,
+                                    n_max=model.config.simulation.n_max)
+    except TruncationExceeded as exc:
+        # an --initial outside the basis is a usage error, not a numerical one
+        raise ValueError(str(exc)) from None
     rows = []
     for e in entries:
-        wavelength = 2.0 * math.pi * CONSTANTS.c / e.required_omega
+        wavelength = 2.0 * math.pi * SPEED_OF_LIGHT / e.required_omega
         rows.append([
             e.final - e.initial, e.order, e.required_omega,
             e.required_omega / (2e9 * math.pi), wavelength * 1e9, e.source,

@@ -57,6 +57,8 @@ def parse_quantity(raw: str, units: Dict[str, float], field: str) -> float:
         value = float(parts[0])
     except ValueError:
         raise ValidationError(field, f"not a number: {parts[0]!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(field, f"not a finite number: {parts[0]!r}")
     if len(parts) == 1:
         return value
     unit = parts[1].strip()
@@ -174,16 +176,14 @@ def loads_config(text: str) -> DesignConfig:
             return default
         return parse_quantity(raw, units, f"{section}.{key}")
 
+    ring = {key: _positive(quantity("ring", key, _LENGTH_UNITS), f"ring.{key}")
+            for key in ("radius", "width", "depth")}
+    separation = (
+        _positive(quantity("two_qubit", "ring_separation", _LENGTH_UNITS),
+                  "two_qubit.ring_separation")
+        if parser.has_section("two_qubit") else None)
     try:
-        design = RingDesign(
-            radius=_positive(quantity("ring", "radius", _LENGTH_UNITS), "ring.radius"),
-            width=_positive(quantity("ring", "width", _LENGTH_UNITS), "ring.width"),
-            depth=_positive(quantity("ring", "depth", _LENGTH_UNITS), "ring.depth"),
-            ring_separation=(
-                _positive(quantity("two_qubit", "ring_separation", _LENGTH_UNITS),
-                          "two_qubit.ring_separation")
-                if parser.has_section("two_qubit") else None),
-        )
+        design = RingDesign(**ring)
     except ValueError as exc:
         raise ValidationError("ring", str(exc)) from exc
 
@@ -263,7 +263,7 @@ def loads_config(text: str) -> DesignConfig:
 
     return DesignConfig(
         design=design, material=material, beam=beam, simulation=sim,
-        conventions=conv, two_qubit_separation=design.ring_separation)
+        conventions=conv, two_qubit_separation=separation)
 
 
 def load_config(path: str) -> DesignConfig:

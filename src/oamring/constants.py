@@ -1,12 +1,12 @@
-"""Physical constants for the ring-qubit model.
+"""CODATA values and the Cooper-pair charge and mass of the ring-qubit model.
 
 Values are CODATA 2018 at double precision, pinned here as literals so that
 regression numbers do not drift with library upgrades.  The charge carriers
-are Cooper pairs: charge 2e, mass 2*m_e.
+are Cooper pairs: charge 2e, mass 2*m_e.  The model is fixed by these
+values, so the physics functions read the module names directly.
 """
 
 import math
-from dataclasses import dataclass
 
 # CODATA 2018
 PLANCK = 6.62607015e-34           # J s (exact)
@@ -16,38 +16,8 @@ SPEED_OF_LIGHT = 299792458.0      # m/s (exact)
 VACUUM_PERMEABILITY = 1.25663706212e-6   # H/m
 VACUUM_PERMITTIVITY = 8.8541878128e-12   # F/m
 
-
-@dataclass(frozen=True)
-class Constants:
-    """Constants entering the spectrum, coupling and gate formulas.
-
-    Attributes
-    ----------
-    flux_quantum : float
-        Phi_0 = h / (2e), in Wb.
-    cooper_charge : float
-        q* = 2e, in C.
-    cooper_mass : float
-        m* = 2 m_e, in kg.
-    hbar : float
-        Reduced Planck constant, J s.
-    mu0, eps0, c : float
-        Vacuum permeability, permittivity, speed of light.
-    """
-
-    flux_quantum: float = PLANCK / (2.0 * ELEMENTARY_CHARGE)
-    cooper_charge: float = 2.0 * ELEMENTARY_CHARGE
-    cooper_mass: float = 2.0 * ELECTRON_MASS
-    hbar: float = PLANCK / (2.0 * math.pi)
-    mu0: float = VACUUM_PERMEABILITY
-    eps0: float = VACUUM_PERMITTIVITY
-    c: float = SPEED_OF_LIGHT
-
-    def __post_init__(self):
-        for name in ("flux_quantum", "cooper_charge", "cooper_mass",
-                     "hbar", "mu0", "eps0", "c"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"constant {name} must be positive")
-
-
-CONSTANTS = Constants()
+# Derived
+FLUX_QUANTUM = PLANCK / (2.0 * ELEMENTARY_CHARGE)   # Phi_0 = h / (2e), Wb
+HBAR = PLANCK / (2.0 * math.pi)                     # J s
+COOPER_CHARGE = 2.0 * ELEMENTARY_CHARGE             # q* = 2e, C
+COOPER_MASS = 2.0 * ELECTRON_MASS                   # m* = 2 m_e, kg

@@ -23,7 +23,7 @@ from typing import List, Set, Tuple
 import numpy as np
 
 from .beam import HarmonicDrive, evaluate_A_phi, evaluate_A_phi_derivative
-from .constants import CONSTANTS, Constants
+from .constants import COOPER_CHARGE, COOPER_MASS, HBAR
 from .errors import TruncationExceeded
 from .ring import (DEFAULT_N_MAX, RingParams, level_angular_frequency,
                    transition_angular_frequency)
@@ -58,8 +58,8 @@ def _check_truncation(m: int, n: int, n_max: int):
 
 
 def matrix_element_terms(m: int, n: int, drive: HarmonicDrive,
-                         params: RingParams, n_max: int = DEFAULT_N_MAX,
-                         constants: Constants = CONSTANTS) -> List[MatrixElementTerm]:
+                         params: RingParams,
+                         n_max: int = DEFAULT_N_MAX) -> List[MatrixElementTerm]:
     """Closed-form harmonic expansion of <m|H_I|n>.
 
     Linear part: each drive term (k, a, s) with k = m - n contributes
@@ -71,13 +71,12 @@ def matrix_element_terms(m: int, n: int, drive: HarmonicDrive,
     enforce that.
     """
     _check_truncation(m, n, n_max)
-    omega_mn = transition_angular_frequency(m, n, params, constants)
+    omega_mn = transition_angular_frequency(m, n, params)
 
-    coeff1 = (constants.hbar * constants.cooper_charge * params.n_pairs
-              / (2.0 * constants.cooper_mass * params.design.radius)
+    coeff1 = (HBAR * COOPER_CHARGE * params.n_pairs
+              / (2.0 * COOPER_MASS * params.design.radius)
               * (params.L_K / params.L_T))
-    coeff2 = (constants.cooper_charge ** 2 * params.n_pairs
-              / (2.0 * constants.cooper_mass))
+    coeff2 = COOPER_CHARGE ** 2 * params.n_pairs / (2.0 * COOPER_MASS)
 
     # key: (order, total time sign) -> summed amplitude
     groups: dict = {}
@@ -141,8 +140,7 @@ def _drive_fields(drive: HarmonicDrive, t: float, n_points: int):
 def matrix_element_quadrature_oracle(m: int, n: int, drive: HarmonicDrive,
                                      params: RingParams, t: float,
                                      n_points: int = ORACLE_POINTS,
-                                     n_max: int = DEFAULT_N_MAX,
-                                     constants: Constants = CONSTANTS) -> complex:
+                                     n_max: int = DEFAULT_N_MAX) -> complex:
     """<m|H_I|n> by direct quadrature of the defining integral.
 
     The drive field and its phi-derivative are evaluated in closed form (no
@@ -154,18 +152,18 @@ def matrix_element_quadrature_oracle(m: int, n: int, drive: HarmonicDrive,
     _check_truncation(m, n, n_max)
     a_phi, da_phi, a_sq = _drive_fields(drive, float(t), n_points)
 
-    lin_coeff = (1j * _CDT(constants.hbar) * _CDT(constants.cooper_charge)
-                 / (2.0 * _CDT(constants.cooper_mass) * _CDT(params.design.radius))
+    lin_coeff = (1j * _CDT(HBAR) * _CDT(COOPER_CHARGE)
+                 / (2.0 * _CDT(COOPER_MASS) * _CDT(params.design.radius))
                  * (_CDT(params.L_K) / _CDT(params.L_T)))
-    quad_coeff = _CDT(constants.cooper_charge) ** 2 / (2.0 * _CDT(constants.cooper_mass))
+    quad_coeff = _CDT(COOPER_CHARGE) ** 2 / (2.0 * _CDT(COOPER_MASS))
 
     # (d/dphi A + A d/dphi) acting on exp(-i n phi) = dA - 2 i n A, times exp(-i n phi)
     bracket = lin_coeff * (da_phi - 2j * n * a_phi) + quad_coeff * a_sq
     integrand = _winding_phase(m - n, n_points) * bracket
     integral = integrand.sum() * (2 * _PI_EXT / _RDT.type(n_points))
 
-    omega_m = level_angular_frequency(m, params, constants)
-    omega_n = level_angular_frequency(n, params, constants)
+    omega_m = level_angular_frequency(m, params)
+    omega_n = level_angular_frequency(n, params)
     phase = np.exp(1j * (_RDT.type(omega_m) - _RDT.type(omega_n)) * _RDT.type(t))
     return complex((_CDT(params.n_pairs) / (2 * _PI_EXT)) * integral * phase)
 
@@ -183,8 +181,8 @@ def selection_rules(drive: HarmonicDrive) -> Set[Tuple[int, int]]:
 
 
 def resonance_catalog(drive: HarmonicDrive, params: RingParams,
-                      n_init: int = 0, n_max: int = DEFAULT_N_MAX,
-                      constants: Constants = CONSTANTS) -> List[TransitionCatalogEntry]:
+                      n_init: int = 0,
+                      n_max: int = DEFAULT_N_MAX) -> List[TransitionCatalogEntry]:
     """Positive drive frequencies that make some |n_init> <-> |m> term static.
 
     A term beating at omega_{m,n} - s_total*omega is resonant when
@@ -201,7 +199,7 @@ def resonance_catalog(drive: HarmonicDrive, params: RingParams,
         m = n_init + delta
         if abs(m) > n_max:
             return
-        omega_mn = transition_angular_frequency(m, n_init, params, constants)
+        omega_mn = transition_angular_frequency(m, n_init, params)
         omega_req = omega_mn / s_total
         if omega_req <= 0.0:
             return
@@ -223,14 +221,13 @@ def resonance_catalog(drive: HarmonicDrive, params: RingParams,
     return entries
 
 
-def rabi_frequency(params: RingParams, a0_magnitude: float,
-                   constants: Constants = CONSTANTS) -> float:
+def rabi_frequency(params: RingParams, a0_magnitude: float) -> float:
     """On-resonance Rabi rate (N* q* / (r m*)) (L_K/L_T) |A0|, in rad/s.
 
     Equals twice the order-1 coupling magnitude divided by hbar.
     """
     if a0_magnitude < 0.0:
         raise ValueError("a0_magnitude must be non-negative")
-    return (params.n_pairs * constants.cooper_charge
-            / (params.design.radius * constants.cooper_mass)
+    return (params.n_pairs * COOPER_CHARGE
+            / (params.design.radius * COOPER_MASS)
             * (params.L_K / params.L_T) * a0_magnitude)

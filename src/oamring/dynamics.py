@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .beam import BeamDrive, azimuthal_component
-from .constants import CONSTANTS, Constants
+from .constants import COOPER_CHARGE, HBAR
 from .coupling import matrix_element_terms
 from .errors import NotTwoLevel, StepSizeUnderflow
 from .ring import DEFAULT_N_MAX, RingParams, level_angular_frequency
@@ -117,15 +117,14 @@ class Trajectory:
         return self.populations[:, n + n_max]
 
 
-def _build_term_arrays(drive, params, n_max, constants):
+def _build_term_arrays(drive, params, n_max):
     rows, cols, camps, nus = [], [], [], []
     for m in range(-n_max, n_max + 1):
         for n in range(-n_max, n_max + 1):
-            for term in matrix_element_terms(m, n, drive, params,
-                                             n_max=n_max, constants=constants):
+            for term in matrix_element_terms(m, n, drive, params, n_max=n_max):
                 rows.append(m + n_max)
                 cols.append(n + n_max)
-                camps.append(-1j * term.amplitude / constants.hbar)
+                camps.append(-1j * term.amplitude / HBAR)
                 nus.append(term.beat)
     return (np.asarray(rows, dtype=np.int64),
             np.asarray(cols, dtype=np.int64),
@@ -222,16 +221,15 @@ def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
 def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
            t_final: float, tol: float = 1e-9, mode: str = "full",
            sample_times: Optional[Sequence[float]] = None,
-           n_samples: int = 201, rwa_cutoff: Optional[float] = None,
-           constants: Constants = CONSTANTS) -> Trajectory:
+           n_samples: int = 201) -> Trajectory:
     """Integrate the driven state over a duration ``t_final``.
 
     Parameters
     ----------
     mode : {"full", "rwa"}
         "full" keeps every coupling term including static level shifts;
-        "rwa" keeps only terms whose beat magnitude is below the cutoff
-        (drive frequency / 10 unless ``rwa_cutoff`` overrides it).
+        "rwa" keeps only terms whose beat magnitude is below a tenth of the
+        drive frequency.
         Full runs of at least ``floquet_min_periods(n_max)`` drive periods are
         propagated period by period with the Floquet monodromy instead of
         stepping every carrier cycle; the result is the same to the
@@ -245,6 +243,8 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
 
     Raises
     ------
+    ValueError
+        If ``t_final`` or a sample time is not finite, before any stepping.
     StepSizeUnderflow
         If the controller cannot meet the tolerance with a representable
         step (stiff or ill-conditioned input).
@@ -253,6 +253,8 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
         raise ValueError(f"tol must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
+    if not math.isfinite(t_final):
+        raise ValueError("t_final must be finite")
     if mode not in ("full", "rwa"):
         raise ValueError("mode must be 'full' or 'rwa'")
 
@@ -265,6 +267,8 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
         times = np.asarray(sample_times, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("sample_times must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("sample_times must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("sample_times must be strictly increasing")
         if times[0] < t0 or times[-1] > t0 + t_final * (1.0 + 1e-12):
@@ -272,17 +276,16 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
 
     harmonic = azimuthal_component(drive)
     rows, cols, camps, nus = _build_term_arrays(harmonic, params,
-                                                initial.n_max, constants)
+                                                initial.n_max)
     if mode == "rwa":
-        cutoff = drive.omega / 10.0 if rwa_cutoff is None else rwa_cutoff
-        keep = np.abs(nus) < cutoff
+        keep = np.abs(nus) < drive.omega / 10.0
         rows, cols, camps, nus = rows[keep], cols[keep], camps[keep], nus[keep]
     terms = (rows, cols, camps, nus)
 
     amps0 = np.asarray(initial.amplitudes, dtype=np.complex128)
     period = 2.0 * math.pi / drive.omega
     if mode == "full" and t_final >= floquet_min_periods(initial.n_max) * period:
-        omega_levels = np.array([level_angular_frequency(n, params, constants)
+        omega_levels = np.array([level_angular_frequency(n, params)
                                  for n in range(-initial.n_max, initial.n_max + 1)])
         out, n_steps = _evolve_floquet(amps0, float(t0), times, terms,
                                        float(tol), float(t_final), period,
@@ -298,8 +301,7 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
     return traj
 
 
-def density_profile(state: StateVector, params: RingParams, phi, t: float,
-                    constants: Constants = CONSTANTS):
+def density_profile(state: StateVector, params: RingParams, phi, t: float):
     """Cooper-pair density per radian of arc at angle ``phi`` and time ``t``.
 
     N* |sum_n c_n exp(-i(n phi + omega_n t))|^2 / (2 pi); integrates over a
@@ -311,14 +313,13 @@ def density_profile(state: StateVector, params: RingParams, phi, t: float,
         c = state.amplitudes[n + state.n_max]
         if c == 0:
             continue
-        omega_n = level_angular_frequency(n, params, constants)
+        omega_n = level_angular_frequency(n, params)
         psi += c * np.exp(-1j * (n * phi + omega_n * t))
     dens = params.n_pairs * np.abs(psi) ** 2 / (2.0 * math.pi)
     return float(dens) if dens.ndim == 0 else dens
 
 
-def dipole_moment(state, params: RingParams, t,
-                  constants: Constants = CONSTANTS) -> np.ndarray:
+def dipole_moment(state, params: RingParams, t) -> np.ndarray:
     """In-plane electric dipole (d_x, d_y) in C m, shape (..., 2).
 
     Only adjacent windings contribute to the density's first angular moment:
@@ -328,19 +329,18 @@ def dipole_moment(state, params: RingParams, t,
     amps = state.amplitudes
     n_max = (amps.shape[-1] - 1) // 2
     beats = np.diff(level_angular_frequency(np.arange(-n_max, n_max + 1),
-                                            params, constants))
+                                            params))
     t = np.asarray(t, dtype=float)
     moment = np.zeros(np.broadcast_shapes(amps.shape[:-1], t.shape),
                       dtype=complex)
     for j, beat in enumerate(beats):
         moment += amps[..., j + 1] * amps[..., j].conj() * np.exp(-1j * beat * t)
-    moment *= constants.cooper_charge * params.design.radius * params.n_pairs
+    moment *= COOPER_CHARGE * params.design.radius * params.n_pairs
     return np.stack([moment.real, moment.imag], axis=-1)
 
 
 def pattern_rotation_check(state: StateVector, params: RingParams, dt: float,
-                           n_points: int = 100, rtol: float = 1e-10,
-                           constants: Constants = CONSTANTS) -> float:
+                           n_points: int = 100, rtol: float = 1e-10) -> float:
     """Angular velocity of the rigid density pattern of a two-level state.
 
     For support on levels n1 != n2 the density depends on phi and t only
@@ -361,14 +361,14 @@ def pattern_rotation_check(state: StateVector, params: RingParams, dt: float,
         raise NotTwoLevel(
             f"state supported on {len(support)} levels, need exactly 2")
     n1, n2 = support
-    omega1 = level_angular_frequency(n1, params, constants)
-    omega2 = level_angular_frequency(n2, params, constants)
+    omega1 = level_angular_frequency(n1, params)
+    omega2 = level_angular_frequency(n2, params)
     velocity = (omega2 - omega1) / (n2 - n1)
 
     t0 = state.reference_time
     phi = np.arange(n_points) * (2.0 * math.pi / n_points)
-    later = density_profile(state, params, phi, t0 + dt, constants)
-    shifted = density_profile(state, params, phi + velocity * dt, t0, constants)
+    later = density_profile(state, params, phi, t0 + dt)
+    shifted = density_profile(state, params, phi + velocity * dt, t0)
     scale = float(np.max(np.abs(later)))
     dev = float(np.max(np.abs(later - shifted)))
     if dev > rtol * max(scale, 1e-300):

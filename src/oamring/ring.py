@@ -18,7 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .constants import CONSTANTS, Constants
+from .constants import (COOPER_CHARGE, COOPER_MASS, FLUX_QUANTUM, HBAR,
+                        VACUUM_PERMEABILITY)
 from .errors import NonPositiveLog
 
 DEFAULT_N_MAX = 8
@@ -29,14 +30,12 @@ class RingDesign:
     """Loop geometry: radius, wire width (in-plane) and depth (out-of-plane).
 
     The thin-wire model needs ``width << radius``; we reject anything with
-    width >= radius/10.  ``ring_separation`` is only meaningful when the
-    design is used in a two-ring configuration.
+    width >= radius/10.
     """
 
     radius: float
     width: float
     depth: float
-    ring_separation: Optional[float] = None
 
     def __post_init__(self):
         if self.radius <= 0.0:
@@ -49,8 +48,6 @@ class RingDesign:
             raise ValueError(
                 "non-thin-wire design: width must satisfy width < radius/10"
             )
-        if self.ring_separation is not None and self.ring_separation <= 0.0:
-            raise ValueError("ring_separation must be positive")
 
 
 @dataclass(frozen=True)
@@ -109,8 +106,7 @@ def effective_wire_radius(design: RingDesign, rule: RuleLike = EffectiveRadiusRu
 
 
 def self_inductance(design: RingDesign, rule: RuleLike = EffectiveRadiusRule.ROSA,
-                    wire_radius: Optional[float] = None,
-                    constants: Constants = CONSTANTS) -> float:
+                    wire_radius: Optional[float] = None) -> float:
     """Geometric self-inductance mu0 * r * (ln(8r/a) - 2) of the loop.
 
     Raises
@@ -126,14 +122,13 @@ def self_inductance(design: RingDesign, rule: RuleLike = EffectiveRadiusRule.ROS
         raise NonPositiveLog(
             f"8r/a = {8.0 * r / a:.4g} < e^2; thin-wire formula inapplicable"
         )
-    return constants.mu0 * r * bracket
+    return VACUUM_PERMEABILITY * r * bracket
 
 
-def kinetic_inductance(design: RingDesign, material: Material,
-                       constants: Constants = CONSTANTS) -> float:
+def kinetic_inductance(design: RingDesign, material: Material) -> float:
     """Kinetic inductance 2 pi r m* / (n* q*^2 w d) from Cooper-pair inertia."""
-    return (2.0 * math.pi * design.radius * constants.cooper_mass
-            / (material.pair_density * constants.cooper_charge ** 2
+    return (2.0 * math.pi * design.radius * COOPER_MASS
+            / (material.pair_density * COOPER_CHARGE ** 2
                * design.width * design.depth))
 
 
@@ -170,11 +165,10 @@ def pair_count(design: RingDesign, material: Material) -> float:
 
 def derive_ring_params(design: RingDesign, material: Material,
                        rule: RuleLike = EffectiveRadiusRule.ROSA,
-                       wire_radius: Optional[float] = None,
-                       constants: Constants = CONSTANTS) -> RingParams:
+                       wire_radius: Optional[float] = None) -> RingParams:
     """Assemble the electrical model from geometry and material."""
-    l_s = self_inductance(design, rule, wire_radius, constants)
-    l_k = kinetic_inductance(design, material, constants)
+    l_s = self_inductance(design, rule, wire_radius)
+    l_k = kinetic_inductance(design, material)
     return RingParams(
         L_S=l_s,
         L_K=l_k,
@@ -185,40 +179,34 @@ def derive_ring_params(design: RingDesign, material: Material,
     )
 
 
-def level_energy(n: int, params: RingParams,
-                 constants: Constants = CONSTANTS) -> float:
+def level_energy(n: int, params: RingParams) -> float:
     """Energy (n Phi_0)^2 / (2 L_T) of winding state n, in J."""
-    return (n * constants.flux_quantum) ** 2 / (2.0 * params.L_T)
+    return (n * FLUX_QUANTUM) ** 2 / (2.0 * params.L_T)
 
 
-def level_angular_frequency(n: int, params: RingParams,
-                            constants: Constants = CONSTANTS) -> float:
+def level_angular_frequency(n: int, params: RingParams) -> float:
     """omega_n = E_n / hbar."""
-    return level_energy(n, params, constants) / constants.hbar
+    return level_energy(n, params) / HBAR
 
 
-def transition_angular_frequency(n: int, m: int, params: RingParams,
-                                 constants: Constants = CONSTANTS) -> float:
+def transition_angular_frequency(n: int, m: int, params: RingParams) -> float:
     """omega_{n,m} = (E_n - E_m) / hbar; antisymmetric in (n, m)."""
-    return (level_energy(n, params, constants)
-            - level_energy(m, params, constants)) / constants.hbar
+    return (level_energy(n, params) - level_energy(m, params)) / HBAR
 
 
-def level_supercurrent(n: int, params: RingParams,
-                       constants: Constants = CONSTANTS) -> float:
+def level_supercurrent(n: int, params: RingParams) -> float:
     """Circulating supercurrent n Phi_0 / L_T of winding state n, in A."""
-    return n * constants.flux_quantum / params.L_T
+    return n * FLUX_QUANTUM / params.L_T
 
 
-def ring_wavefunction(n: int, params: RingParams, phi, t: float,
-                      constants: Constants = CONSTANTS):
+def ring_wavefunction(n: int, params: RingParams, phi, t: float):
     """Macroscopic eigenfunction sqrt(N*/2pi) exp(-i (n phi + omega_n t)).
 
     ``phi`` may be a scalar or an array; returns complex values of the same
     shape.  The modulus squared integrates over [0, 2pi) to the total pair
     count.
     """
-    omega_n = level_angular_frequency(n, params, constants)
+    omega_n = level_angular_frequency(n, params)
     phase = np.asarray(n * np.asarray(phi, dtype=float) + omega_n * t)
     out = np.sqrt(params.n_pairs / (2.0 * math.pi)) * np.exp(-1j * phase)
     return complex(out) if out.ndim == 0 else out

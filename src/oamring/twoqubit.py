@@ -14,15 +14,14 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CONSTANTS, Constants
+from .constants import FLUX_QUANTUM, HBAR, VACUUM_PERMEABILITY
 from .ring import RingParams, level_energy
 
 QUBIT_LEVELS = (0, 2)
 BASIS = ((0, 0), (0, 2), (2, 0), (2, 2))
 
 
-def mutual_inductance_coaxial(radius: float, separation: float,
-                              constants: Constants = CONSTANTS) -> float:
+def mutual_inductance_coaxial(radius: float, separation: float) -> float:
     """Far-field mutual inductance mu0 pi r^4 / (2 d^3) of coaxial loops.
 
     Emits a warning when separation < 10 * radius, where the dipole
@@ -34,7 +33,7 @@ def mutual_inductance_coaxial(radius: float, separation: float,
         warnings.warn(
             "separation < 10 * radius: far-field dipole formula is inaccurate",
             stacklevel=2)
-    return constants.mu0 * math.pi * radius ** 4 / (2.0 * separation ** 3)
+    return VACUUM_PERMEABILITY * math.pi * radius ** 4 / (2.0 * separation ** 3)
 
 
 @dataclass(frozen=True)
@@ -59,47 +58,41 @@ class TwoRingConfig:
 
     @classmethod
     def from_separation(cls, params_a: RingParams, separation: float,
-                        params_b: Optional[RingParams] = None,
-                        constants: Constants = CONSTANTS) -> "TwoRingConfig":
+                        params_b: Optional[RingParams] = None) -> "TwoRingConfig":
         """Derive the mutual inductance from the coaxial-loop formula."""
-        mutual = mutual_inductance_coaxial(params_a.design.radius, separation,
-                                           constants)
+        mutual = mutual_inductance_coaxial(params_a.design.radius, separation)
         return cls(params_a=params_a,
                    params_b=params_b if params_b is not None else params_a,
                    separation=separation, mutual=mutual)
 
 
-def interaction_energy(n_a: int, n_b: int, config: TwoRingConfig,
-                       constants: Constants = CONSTANTS) -> float:
+def interaction_energy(n_a: int, n_b: int, config: TwoRingConfig) -> float:
     """Ising energy M n_a n_b (Phi_0/L_T,a)(Phi_0/L_T,b), in J.
 
     Vanishes whenever either winding is zero or the coupling switch is off.
     """
     if not config.coupling_on:
         return 0.0
-    phi0 = constants.flux_quantum
-    return (config.mutual * n_a * n_b
-            * (phi0 / config.params_a.L_T) * (phi0 / config.params_b.L_T))
+    return (config.mutual * n_a * n_b * (FLUX_QUANTUM / config.params_a.L_T)
+            * (FLUX_QUANTUM / config.params_b.L_T))
 
 
-def cz_gate_time(config: TwoRingConfig,
-                 constants: Constants = CONSTANTS) -> float:
+def cz_gate_time(config: TwoRingConfig) -> float:
     """Interaction time pi hbar / H(2,2) that accumulates a pi phase on |2,2>.
 
     For identical rings this is pi hbar L_T^2 / (4 M Phi_0^2).
     """
-    h22 = interaction_energy(2, 2, config, constants)
+    h22 = interaction_energy(2, 2, config)
     if h22 == 0.0:
         raise ValueError("coupling is off; no finite gate time")
-    return math.pi * constants.hbar / h22
+    return math.pi * HBAR / h22
 
 
-def controlled_phase(t: float, config: TwoRingConfig,
-                     constants: Constants = CONSTANTS) -> float:
+def controlled_phase(t: float, config: TwoRingConfig) -> float:
     """Accumulated controlled phase H(2,2) t / hbar, in rad."""
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    return interaction_energy(2, 2, config, constants) * t / constants.hbar
+    return interaction_energy(2, 2, config) * t / HBAR
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +125,7 @@ class TwoQubitState:
 
 
 def phase_vector(config: TwoRingConfig, t: float,
-                 include_self_energy: bool = True,
-                 constants: Constants = CONSTANTS) -> np.ndarray:
+                 include_self_energy: bool = True) -> np.ndarray:
     """Accumulated phases (in rad) of the four basis states after time t.
 
     With ``include_self_energy`` the single-ring energies E_n contribute on
@@ -146,45 +138,41 @@ def phase_vector(config: TwoRingConfig, t: float,
     ld = np.longdouble
     phases = np.empty(4, dtype=ld)
     for i, (n_a, n_b) in enumerate(BASIS):
-        energy = ld(interaction_energy(n_a, n_b, config, constants))
+        energy = ld(interaction_energy(n_a, n_b, config))
         if include_self_energy:
-            energy += (ld(level_energy(n_a, config.params_a, constants))
-                       + ld(level_energy(n_b, config.params_b, constants)))
-        phases[i] = energy * ld(t) / ld(constants.hbar)
+            energy += (ld(level_energy(n_a, config.params_a))
+                       + ld(level_energy(n_b, config.params_b)))
+        phases[i] = energy * ld(t) / ld(HBAR)
     return phases
 
 
-def entangling_phase(config: TwoRingConfig, t: float,
-                     constants: Constants = CONSTANTS) -> float:
+def entangling_phase(config: TwoRingConfig, t: float) -> float:
     """Local-gauge-invariant combination phi_00 - phi_02 - phi_20 + phi_22."""
-    p = phase_vector(config, t, include_self_energy=True, constants=constants)
+    p = phase_vector(config, t, include_self_energy=True)
     return float(p[0] - p[1] - p[2] + p[3])
 
 
 def evolve_two_qubit(initial: TwoQubitState, config: TwoRingConfig, t: float,
-                     include_self_energy: bool = True,
-                     constants: Constants = CONSTANTS) -> TwoQubitState:
+                     include_self_energy: bool = True) -> TwoQubitState:
     """Apply the diagonal phases exp(-i phi) accumulated over time t.
 
     Never mixes basis amplitudes; magnitudes are constant in time.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    phases = phase_vector(config, t, include_self_energy, constants)
+    phases = phase_vector(config, t, include_self_energy)
     factors = np.exp(-1j * phases).astype(np.complex128)
     return TwoQubitState(initial.amplitudes * factors)
 
 
-def cz_fidelity(config: TwoRingConfig, t: float,
-                constants: Constants = CONSTANTS) -> float:
+def cz_fidelity(config: TwoRingConfig, t: float) -> float:
     """Overlap fidelity with an ideal CZ acting on the equal superposition.
 
     Uses the interaction-only gauge (single-ring phases echoed away), so the
     number reflects the entangling phase alone.
     """
     psi0 = TwoQubitState.equal_superposition()
-    evolved = evolve_two_qubit(psi0, config, t, include_self_energy=False,
-                               constants=constants)
+    evolved = evolve_two_qubit(psi0, config, t, include_self_energy=False)
     target = psi0.amplitudes * np.array([1.0, 1.0, 1.0, -1.0])
     overlap = np.vdot(target, evolved.amplitudes)
     return float(abs(overlap) ** 2)

@@ -7,12 +7,11 @@ from typing import List, Optional
 from .beam import (BeamDrive, IntensityConvention, Polarization,
                    amplitude_from_intensity)
 from .config import DesignConfig
-from .constants import CONSTANTS, Constants
+from .constants import SPEED_OF_LIGHT
 from .coupling import rabi_frequency
 from .ring import (RingParams, derive_ring_params, level_energy,
                    level_supercurrent, transition_angular_frequency)
-from .twoqubit import (TwoRingConfig, cz_gate_time, interaction_energy,
-                       mutual_inductance_coaxial)
+from .twoqubit import TwoRingConfig, cz_gate_time, interaction_energy
 
 _POLARIZATION_BUILDERS = {
     "linear-x": Polarization.linear_x,
@@ -35,20 +34,18 @@ class ResolvedModel:
     two_ring: Optional[TwoRingConfig]
 
 
-def resolve(config: DesignConfig, constants: Constants = CONSTANTS) -> ResolvedModel:
+def resolve(config: DesignConfig) -> ResolvedModel:
     """Derive ring parameters and the beam drive from a validated config."""
     params = derive_ring_params(
         config.design, config.material,
         rule=config.conventions.effective_radius_rule,
-        wire_radius=config.conventions.explicit_radius,
-        constants=constants)
-    omega_res = transition_angular_frequency(2, 0, params, constants)
+        wire_radius=config.conventions.explicit_radius)
+    omega_res = transition_angular_frequency(2, 0, params)
     omega = omega_res + config.beam.detuning
     if config.beam.intensity is not None:
         a0_mag = amplitude_from_intensity(
             config.beam.intensity, omega,
-            IntensityConvention(config.conventions.intensity_convention),
-            constants)
+            IntensityConvention(config.conventions.intensity_convention))
     else:
         a0_mag = config.beam.amplitude
     drive = BeamDrive(
@@ -60,7 +57,7 @@ def resolve(config: DesignConfig, constants: Constants = CONSTANTS) -> ResolvedM
     two_ring = None
     if config.two_qubit_separation is not None:
         two_ring = TwoRingConfig.from_separation(
-            params, config.two_qubit_separation, constants=constants)
+            params, config.two_qubit_separation)
     return ResolvedModel(config=config, params=params,
                          omega_resonance=omega_res, omega_drive=omega,
                          a0_magnitude=a0_mag, drive=drive, two_ring=two_ring)
@@ -107,13 +104,12 @@ def _penetration_status(skin_depth: float, depth: float) -> str:
     return "fail"
 
 
-def build_feasibility_report(model: ResolvedModel,
-                             constants: Constants = CONSTANTS) -> FeasibilityReport:
+def build_feasibility_report(model: ResolvedModel) -> FeasibilityReport:
     """Derived design numbers plus the optical/geometric constraint checks."""
     cfg = model.config
     params = model.params
-    wavelength = 2.0 * math.pi * constants.c / model.omega_resonance
-    rabi = rabi_frequency(params, model.a0_magnitude, constants)
+    wavelength = 2.0 * math.pi * SPEED_OF_LIGHT / model.omega_resonance
+    rabi = rabi_frequency(params, model.a0_magnitude)
 
     quantities = [
         Quantity("L_S", params.L_S * 1e12, "pH"),
@@ -128,17 +124,16 @@ def build_feasibility_report(model: ResolvedModel,
         Quantity("rabi_Omega_cyclic", rabi / (2.0 * math.pi * 1e9), "GHz"),
     ]
     if model.two_ring is not None:
-        h22 = interaction_energy(2, 2, model.two_ring, constants)
+        h22 = interaction_energy(2, 2, model.two_ring)
         quantities += [
             Quantity("mutual_inductance", model.two_ring.mutual * 1e12, "pH"),
             Quantity("H_int_22", h22, "J"),
-            Quantity("t_CZ", cz_gate_time(model.two_ring, constants) * 1e9, "ns"),
+            Quantity("t_CZ", cz_gate_time(model.two_ring) * 1e9, "ns"),
         ]
     for n in range(-4, 5):
-        quantities.append(Quantity(f"E_{n}", level_energy(n, params, constants), "J"))
+        quantities.append(Quantity(f"E_{n}", level_energy(n, params), "J"))
     for n in range(-4, 5):
-        quantities.append(
-            Quantity(f"I_{n}", level_supercurrent(n, params, constants), "A"))
+        quantities.append(Quantity(f"I_{n}", level_supercurrent(n, params), "A"))
 
     w = cfg.design.width
     d = cfg.design.depth

@@ -21,8 +21,7 @@ PUBLISHED_A0 = 8.6e-14
 
 @pytest.fixture(scope="session")
 def design():
-    return RingDesign(radius=RADIUS, width=WIDTH, depth=DEPTH,
-                      ring_separation=RING_SEPARATION)
+    return RingDesign(radius=RADIUS, width=WIDTH, depth=DEPTH)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,8 @@ import numpy as np
 
 from oamring.beam import BeamDrive, Polarization, azimuthal_component
 from oamring.cli import run
-from oamring.constants import CONSTANTS
+from oamring.constants import (COOPER_CHARGE, COOPER_MASS, SPEED_OF_LIGHT,
+                               VACUUM_PERMEABILITY)
 from oamring.coupling import (evaluate_matrix_element,
                               matrix_element_quadrature_oracle,
                               matrix_element_terms, rabi_frequency,
@@ -38,12 +39,12 @@ def _report(num: int, description: str, failures):
 
 def test_criterion_01_resonance_wavelength(chain_params, published_params):
     failures = []
-    lam_published = (2 * math.pi * CONSTANTS.c
+    lam_published = (2 * math.pi * SPEED_OF_LIGHT
                        / transition_angular_frequency(2, 0, published_params))
     if abs(lam_published - 727e-9) > 0.015 * 727e-9:
         failures.append(f"wavelength at published L_T: {lam_published}")
     # the derived wavelength tracks the inductance chain exactly
-    lam_chain = (2 * math.pi * CONSTANTS.c
+    lam_chain = (2 * math.pi * SPEED_OF_LIGHT
                  / transition_angular_frequency(2, 0, chain_params))
     tracked = lam_chain * published_params.L_T / chain_params.L_T
     if abs(tracked - lam_published) > 1e-12 * lam_published:
@@ -55,10 +56,10 @@ def test_criterion_01_resonance_wavelength(chain_params, published_params):
 def test_criterion_02_inductances(design, material, chain_params):
     failures = []
     a = 0.2235 * (design.width + design.depth)
-    closed_ls = CONSTANTS.mu0 * design.radius * (
+    closed_ls = VACUUM_PERMEABILITY * design.radius * (
         math.log(8 * design.radius / a) - 2.0)
-    closed_lk = (2 * math.pi * design.radius * CONSTANTS.cooper_mass
-                 / (material.pair_density * CONSTANTS.cooper_charge ** 2
+    closed_lk = (2 * math.pi * design.radius * COOPER_MASS
+                 / (material.pair_density * COOPER_CHARGE ** 2
                     * design.width * design.depth))
     checks = [
         ("L_S vs published", chain_params.L_S, PUBLISHED_L_S, 0.05),
@@ -221,7 +222,7 @@ def test_criterion_07_dynamics_oracle(chain_params):
 def test_criterion_08_dipole_properties(chain_params):
     failures = []
     rng = np.random.default_rng(8)
-    scale = (CONSTANTS.cooper_charge * chain_params.n_pairs
+    scale = (COOPER_CHARGE * chain_params.n_pairs
              * chain_params.design.radius)
     for _ in range(10):
         c = rng.normal(size=2) + 1j * rng.normal(size=2)

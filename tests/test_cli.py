@@ -49,6 +49,19 @@ def test_selection_matches_golden_json():
     assert text == GOLDEN.joinpath("selection_paper_design.json").read_text()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "rabi", "czgate"])
+def test_report_matches_golden_json(command):
+    code, text = run(["--format", "json", command])
+    assert code == 0
+    assert text == GOLDEN.joinpath(f"{command}_paper_design.json").read_text()
+
+
+def test_selection_initial_outside_basis_is_usage_error():
+    code, text = run(["selection", "--initial", "9"])
+    assert code == 1
+    assert text == "error: levels (9, 9) outside truncated basis |n| <= 8\n"
+
+
 def test_selection_has_three_resonances():
     code, text = run(["--format", "json", "selection"])
     payload = json.loads(text)
@@ -169,6 +182,25 @@ def test_dynamics_zero_samples_is_usage_error(mode, t_final):
                       "--t-final", t_final])
     assert code == 1
     assert text.startswith("error:") and "n_samples" in text
+
+
+@pytest.mark.parametrize("mode", ["rwa", "full"])
+@pytest.mark.parametrize("t_final", ["nan", "inf"])
+def test_dynamics_non_finite_t_final_is_usage_error(mode, t_final):
+    code, text = run(["dynamics", "--mode", mode, "--t-final", t_final])
+    assert code == 1
+    assert text == "error: t_final must be finite\n"
+
+
+def test_non_finite_config_number_is_usage_error(tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(MINIMAL.replace("intensity = 6.6e-3 W/cm^2",
+                                   "intensity = 6.6e-3 W/cm^2\ndetuning = nan"),
+                   encoding="utf-8")
+    for command in ("feasibility", "dynamics"):
+        code, text = run(["--config", str(cfg), command])
+        assert code == 1
+        assert text.startswith("error: beam.detuning:") and "finite" in text
 
 
 def test_czgate_reaches_unit_fidelity():

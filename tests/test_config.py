@@ -199,3 +199,16 @@ def test_beam_phase_reaches_drive():
     model = resolve(loads_config(text))
     assert cmath.phase(model.drive.a0) == pytest.approx(cmath.pi / 2, rel=1e-12)
     assert abs(model.drive.a0) == pytest.approx(model.a0_magnitude, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, unit", [("detuning", "rad/s"), ("phase", "rad"),
+                                       ("intensity", "W/cm^2")])
+def test_non_finite_numbers_rejected(key, unit, value):
+    line = f"{key} = {value} {unit}"
+    text = GOOD.replace("intensity = 6.6e-3 W/cm^2",
+                        line if key == "intensity"
+                        else f"intensity = 6.6e-3 W/cm^2\n{line}")
+    with pytest.raises(ValidationError, match="finite") as info:
+        loads_config(text)
+    assert info.value.field == f"beam.{key}"

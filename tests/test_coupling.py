@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oamring.beam import BeamDrive, Polarization, azimuthal_component
-from oamring.constants import CONSTANTS
+from oamring.constants import COOPER_CHARGE, COOPER_MASS, HBAR
 from oamring.coupling import (evaluate_matrix_element,
                               matrix_element_quadrature_oracle,
                               matrix_element_terms, rabi_frequency,
@@ -34,15 +34,15 @@ def lg01_drive(w20):
 
 def order1_magnitude(params, a0):
     """First-order coupling scale from the printed closed form."""
-    return (CONSTANTS.hbar * params.n_pairs * CONSTANTS.cooper_charge
-            / (2.0 * params.design.radius * CONSTANTS.cooper_mass)
+    return (HBAR * params.n_pairs * COOPER_CHARGE
+            / (2.0 * params.design.radius * COOPER_MASS)
             * (params.L_K / params.L_T) * a0)
 
 
 def order2_magnitude(params, a0, denominator):
     """Two-photon coupling scale N* q*^2 |A0|^2 / (denominator * m*)."""
-    return (params.n_pairs * CONSTANTS.cooper_charge ** 2 * a0 ** 2
-            / (denominator * CONSTANTS.cooper_mass))
+    return (params.n_pairs * COOPER_CHARGE ** 2 * a0 ** 2
+            / (denominator * COOPER_MASS))
 
 
 def test_element_0_2_lg01(chain_params, lg01_drive, w20):
@@ -221,7 +221,7 @@ def test_rabi_frequency(chain_params):
     omega = rabi_frequency(chain_params, PUBLISHED_A0)
     np.testing.assert_allclose(omega, 7.043e11, rtol=1e-3)
     np.testing.assert_allclose(
-        omega, 2.0 * order1_magnitude(chain_params, PUBLISHED_A0) / CONSTANTS.hbar,
+        omega, 2.0 * order1_magnitude(chain_params, PUBLISHED_A0) / HBAR,
         rtol=1e-12)
     with pytest.raises(ValueError):
         rabi_frequency(chain_params, -1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from oamring import _kernels, load_bundled_config, resolve
 from oamring.beam import BeamDrive, Polarization, azimuthal_component
-from oamring.constants import CONSTANTS
+from oamring.constants import COOPER_CHARGE
 from oamring.coupling import rabi_frequency
 from oamring.dynamics import (StateVector, Trajectory, _build_term_arrays,
                               _split_periods, _step, density_profile,
@@ -71,6 +71,18 @@ def test_evolve_argument_validation(chain_params, lg01_beam):
     with pytest.raises(ValueError, match="sample_times"):
         evolve(initial, lg01_beam, chain_params, 1e-12,
                sample_times=[0.0, 2e-12])
+
+
+@pytest.mark.parametrize("mode", ["rwa", "full"])
+@pytest.mark.parametrize("t_final, sample_times", [
+    (math.nan, None), (math.inf, None), (1e-12, [0.0, math.nan, 1e-12])])
+def test_evolve_rejects_non_finite_times(chain_params, lg01_beam, mode,
+                                         t_final, sample_times):
+    # raised before any stepping; a NaN time would never be reached
+    initial = StateVector.from_levels({0: 1.0}, n_max=4)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(initial, lg01_beam, chain_params, t_final, tol=1e-6,
+               mode=mode, sample_times=sample_times)
 
 
 @pytest.mark.parametrize("mode, t_final", [("rwa", 1e-12), ("full", 1e-11)])
@@ -235,7 +247,7 @@ def test_close_sample_times_do_not_underflow():
 
 def _direct_amplitudes(initial, beam, params, times, tol, t_final):
     terms = _build_term_arrays(azimuthal_component(beam), params,
-                               initial.n_max, CONSTANTS)
+                               initial.n_max)
     out, _ = _step(initial.amplitudes, initial.reference_time, times, terms,
                    tol, t_final)
     return out
@@ -375,7 +387,7 @@ def _quadrature_dipole(state, params, t, n_points=512):
     # below n_points
     phi = np.arange(n_points) * (2 * np.pi / n_points)
     dens = density_profile(state, params, phi, t)
-    weight = CONSTANTS.cooper_charge * params.design.radius * 2 * np.pi / n_points
+    weight = COOPER_CHARGE * params.design.radius * 2 * np.pi / n_points
     return weight * np.array([np.sum(dens * np.cos(phi)),
                               np.sum(dens * np.sin(phi))])
 
@@ -383,7 +395,7 @@ def _quadrature_dipole(state, params, t, n_points=512):
 @pytest.mark.parametrize("n_max", [1, 4, 8, 16, 32])
 def test_dipole_matches_quadrature_oracle(chain_params, n_max):
     rng = np.random.default_rng(100 + n_max)
-    scale = (CONSTANTS.cooper_charge * chain_params.n_pairs
+    scale = (COOPER_CHARGE * chain_params.n_pairs
              * chain_params.design.radius)
     c = (rng.normal(size=(8, 2 * n_max + 1))
          + 1j * rng.normal(size=(8, 2 * n_max + 1)))
@@ -406,7 +418,7 @@ def test_dipole_matches_quadrature_oracle(chain_params, n_max):
 def test_dipole_qubit_subspace_dark(chain_params):
     # any |0>,|2> superposition keeps an inversion-symmetric density
     rng = np.random.default_rng(23)
-    scale = (CONSTANTS.cooper_charge * chain_params.n_pairs
+    scale = (COOPER_CHARGE * chain_params.n_pairs
              * chain_params.design.radius)
     for _ in range(10):
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -418,7 +430,7 @@ def test_dipole_qubit_subspace_dark(chain_params):
 
 
 def test_dipole_pure_level_dark(chain_params):
-    scale = (CONSTANTS.cooper_charge * chain_params.n_pairs
+    scale = (COOPER_CHARGE * chain_params.n_pairs
              * chain_params.design.radius)
     for n in (0, 1, -3):
         state = StateVector.from_levels({n: 1.0}, n_max=4)
@@ -429,7 +441,7 @@ def test_dipole_pure_level_dark(chain_params):
 def test_dipole_bright_superposition(chain_params):
     state = StateVector.from_levels({0: 1.0, 1: 1.0}, n_max=4)
     omega_10 = transition_angular_frequency(1, 0, chain_params)
-    expected = (CONSTANTS.cooper_charge * chain_params.n_pairs
+    expected = (COOPER_CHARGE * chain_params.n_pairs
                 * chain_params.design.radius / 2.0)
     mags = []
     for t in (0.0, 0.4 / omega_10, 1.1 / omega_10):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamring.constants import CONSTANTS
+from oamring.constants import FLUX_QUANTUM, HBAR, VACUUM_PERMEABILITY
 from oamring.ring import level_energy
 from oamring.twoqubit import (TwoQubitState, TwoRingConfig, controlled_phase,
                               cz_fidelity, cz_gate_time, entangling_phase,
@@ -20,7 +20,7 @@ def two_ring(published_params):
 
 def test_mutual_inductance_published():
     value = mutual_inductance_coaxial(2e-6, 1e-4)
-    expected = CONSTANTS.mu0 * math.pi * (2e-6) ** 4 / (2.0 * (1e-4) ** 3)
+    expected = VACUUM_PERMEABILITY * math.pi * (2e-6) ** 4 / (2.0 * (1e-4) ** 3)
     np.testing.assert_allclose(value, expected, rtol=1e-15)
     assert abs(value - 3.2e-17) <= 0.02 * 3.2e-17
 
@@ -37,7 +37,7 @@ def test_mutual_inductance_near_field_warning():
 
 
 def test_interaction_energy(two_ring, published_params):
-    phi0 = CONSTANTS.flux_quantum
+    phi0 = FLUX_QUANTUM
     for n_b in (-2, 0, 1, 2):
         assert interaction_energy(0, n_b, two_ring) == 0.0
     expected = two_ring.mutual * 4.0 * (phi0 / published_params.L_T) ** 2
@@ -58,7 +58,7 @@ def test_interaction_energy_heterogeneous(published_params, design, material,
                                           chain_params):
     config = TwoRingConfig(params_a=published_params, params_b=chain_params,
                            separation=RING_SEPARATION, mutual=3.16e-17)
-    phi0 = CONSTANTS.flux_quantum
+    phi0 = FLUX_QUANTUM
     expected = (3.16e-17 * 4.0 * (phi0 / published_params.L_T)
                 * (phi0 / chain_params.L_T))
     np.testing.assert_allclose(interaction_energy(2, 2, config), expected,
@@ -86,7 +86,7 @@ def test_cz_gate_time(two_ring):
     assert cz_gate_time(halved) == 2.0 * t_cz
     # defining relation: H(2,2) t_CZ / hbar = pi
     h22 = interaction_energy(2, 2, two_ring)
-    assert abs(h22 * t_cz / CONSTANTS.hbar - math.pi) <= 1e-12
+    assert abs(h22 * t_cz / HBAR - math.pi) <= 1e-12
 
 
 def test_controlled_phase(two_ring):
@@ -172,4 +172,4 @@ def test_self_energy_phases_match_spectrum(two_ring, published_params):
     e2 = level_energy(2, published_params)
     np.testing.assert_allclose(
         np.asarray(with_self - without, dtype=float),
-        np.array([0.0, 1.0, 1.0, 2.0]) * e2 * t / CONSTANTS.hbar, rtol=1e-12)
+        np.array([0.0, 1.0, 1.0, 2.0]) * e2 * t / HBAR, rtol=1e-12)
