@@ -17,10 +17,13 @@ the derivative; a matrix state assembles the dense coupling matrix H(t) once
 per stage and multiplies.  The error norm is the root mean square over every
 entry of the state either way.
 
-Status codes: 0 ok, 1 step-size underflow, 2 step budget exhausted.
+A run that cannot go on raises ``StepSizeUnderflow``, naming the time it
+reached, the step size and the error ratio of the last attempted step.
 """
 
 import numpy as np
+
+from .errors import StepSizeUnderflow
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
@@ -69,12 +72,15 @@ def integrate(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total,
               probes=None):
     """Step ``c0`` from ``t0`` through the non-decreasing ``sample_times``.
 
-    Returns ``(out, n_steps, status)``.  ``out[i]`` is the state at
+    Returns ``(out, n_steps)``.  ``out[i]`` is the state at
     ``sample_times[i]``, or, when ``probes`` (shape (n_samples, k)) is given
     for a matrix state, the vector ``state @ probes[i]``, so that no
     per-sample matrix is kept.  ``t_total`` sets the error budget per unit
     time and the smallest admissible step; pass the duration of the whole run
     the integration belongs to.
+
+    Raises ``StepSizeUnderflow`` when the step size falls below that floor
+    or the run needs more than ``MAX_STEPS`` steps.
     """
     c0 = np.asarray(c0, dtype=np.complex128)
     dim = c0.shape[0]
@@ -98,12 +104,15 @@ def integrate(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total,
         isample += 1
 
     n_steps = 0
+    err = target = np.nan
     while isample < n_samples:
+        if n_steps >= MAX_STEPS or h < h_floor:
+            failure = ("step budget exhausted" if n_steps >= MAX_STEPS
+                       else "step size underflow")
+            raise StepSizeUnderflow(
+                f"{failure} at t = {float(t)!r} s after {n_steps} steps: "
+                f"h = {h:.3e} s, err/target = {err / target:.3e} (tol={tol})")
         n_steps += 1
-        if n_steps > MAX_STEPS:
-            return out, n_steps, 2
-        if h < h_floor:
-            return out, n_steps, 1
         target_t = sample_times[isample]
         hit = t + h >= target_t
         h_step = target_t - t if hit else h
@@ -138,4 +147,4 @@ def integrate(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total,
             h = max(h, h_step * factor) if hit else h_step * factor
         else:
             h = h_step * max(0.1, 0.9 * (target / err) ** 0.25)
-    return out, n_steps, 0
+    return out, n_steps

@@ -58,6 +58,15 @@ class Polarization:
         return cls(s + 0.0j, 1j * s)
 
 
+# named Jones vectors a config can ask for
+POLARIZATIONS = {
+    "linear-x": Polarization.linear_x,
+    "linear-y": Polarization.linear_y,
+    "right-circular": Polarization.right_circular,
+    "left-circular": Polarization.left_circular,
+}
+
+
 @dataclass(frozen=True)
 class BeamDrive:
     """One helical beam at the ring: winding l, frequency, amplitude, Jones."""

@@ -20,7 +20,8 @@ from .beam import azimuthal_component
 from .config import dumps_config, load_bundled_config, load_config
 from .constants import SPEED_OF_LIGHT
 from .coupling import rabi_frequency, resonance_catalog
-from .dynamics import StateVector, dipole_moment, evolve
+from .dynamics import (DEFAULT_SAMPLES, MODES, StateVector, dipole_moment,
+                       evolve)
 from .errors import ConfigError, OamRingError, TruncationExceeded
 from .ring import (level_energy, level_supercurrent,
                    transition_angular_frequency)
@@ -131,13 +132,26 @@ def _render_json(result: CommandResult) -> str:
 _RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
 
 
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+    return value
+
+
+def _scale(value: float, flag: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{flag} must be a positive finite number, got {value}")
+    return value
+
+
 def cmd_feasibility(model: ResolvedModel, args) -> CommandResult:
     report = build_feasibility_report(model)
     return CommandResult("feasibility", [], [], {}, feasibility=report)
 
 
 def cmd_spectrum(model: ResolvedModel, args) -> CommandResult:
-    n_top = min(args.n_levels, model.config.simulation.n_max)
+    n_top = min(_at_least(args.n_levels, 0, "--n-levels"),
+                model.config.simulation.n_max)
     rows = []
     for n in range(-n_top, n_top + 1):
         rows.append([
@@ -176,7 +190,9 @@ def cmd_selection(model: ResolvedModel, args) -> CommandResult:
 
 
 def cmd_rabi(model: ResolvedModel, args) -> CommandResult:
-    scales = np.geomspace(args.min_scale, args.max_scale, args.points)
+    scales = np.geomspace(_scale(args.min_scale, "--min-scale"),
+                          _scale(args.max_scale, "--max-scale"),
+                          _at_least(args.points, 1, "--points"))
     rows = []
     for s in scales:
         a0 = model.a0_magnitude * math.sqrt(s)
@@ -213,7 +229,7 @@ def cmd_czgate(model: ResolvedModel, args) -> CommandResult:
     two_ring = model.two_ring
     t_cz = cz_gate_time(two_ring)
     t_total = args.t_total if args.t_total is not None else t_cz
-    times = np.linspace(0.0, t_total, args.samples)
+    times = np.linspace(0.0, t_total, _at_least(args.samples, 1, "--samples"))
     rows = []
     for t in times:
         rows.append([float(t), controlled_phase(float(t), two_ring),
@@ -259,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics", help="driven population dynamics from |0>")
     p.add_argument("--t-final", type=float, default=None,
                    help="run duration in seconds (default: config)")
-    p.add_argument("--samples", type=int, default=201,
-                   help="number of sample times (default 201)")
-    p.add_argument("--mode", choices=("full", "rwa"), default=None,
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                   help="number of sample times (default %(default)s)")
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="override the config evolution mode")
 
     p = sub.add_parser("czgate", help="controlled-phase accumulation")

@@ -10,12 +10,14 @@ on load; unknown sections or keys are rejected.
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from importlib import resources
 from typing import Dict, Optional
 
+from .beam import POLARIZATIONS, IntensityConvention
+from .dynamics import DEFAULT_TOL, MODES, TOL_RANGE
 from .errors import MissingSection, ParseError, UnknownKey, ValidationError
-from .ring import Material, RingDesign
+from .ring import DEFAULT_N_MAX, EffectiveRadiusRule, Material, RingDesign
 
 _LENGTH_UNITS = {
     "m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12,
@@ -42,10 +44,7 @@ _AMPLITUDE_UNITS = {"kg*m/(s^2*A)": 1.0, "Wb/m": 1.0, "T*m": 1.0}
 _PHASE_UNITS = {"rad": 1.0, "deg": math.pi / 180.0}
 _DIMENSIONLESS: Dict[str, float] = {}
 
-POLARIZATIONS = ("linear-x", "linear-y", "right-circular", "left-circular")
-MODES = ("full", "rwa")
-INTENSITY_CONVENTIONS = ("paper-consistent", "peak-field")
-RADIUS_RULES = ("rosa", "half-mean", "explicit")
+N_MAX_RANGE = (1, 64)
 
 
 def parse_quantity(raw: str, units: Dict[str, float], field: str) -> float:
@@ -71,26 +70,26 @@ def parse_quantity(raw: str, units: Dict[str, float], field: str) -> float:
 @dataclass(frozen=True)
 class BeamSettings:
     oam_index: int
-    polarization: str
-    intensity: Optional[float]     # W/m^2; exactly one of intensity/amplitude
-    amplitude: Optional[float]     # |A0| in kg m/(s^2 A)
-    phase: float                   # drive phase, arg(A0), rad
-    detuning: float                # rad/s relative to the 0->2 resonance
+    polarization: str = "linear-x"
+    phase: float = 0.0                  # drive phase, arg(A0), rad
+    detuning: float = 0.0               # rad/s relative to the 0->2 resonance
+    intensity: Optional[float] = None   # W/m^2; exactly one of intensity/amplitude
+    amplitude: Optional[float] = None   # |A0| in kg m/(s^2 A)
 
 
 @dataclass(frozen=True)
 class SimulationSettings:
-    t_final: float
-    tol: float
-    mode: str
-    n_max: int
+    t_final: float = 27e-12
+    tol: float = DEFAULT_TOL
+    mode: str = "rwa"
+    n_max: int = DEFAULT_N_MAX
 
 
 @dataclass(frozen=True)
 class Conventions:
-    intensity_convention: str
-    effective_radius_rule: str
-    explicit_radius: Optional[float]
+    intensity_convention: str = IntensityConvention.PAPER_CONSISTENT.value
+    effective_radius_rule: str = EffectiveRadiusRule.ROSA.value
+    explicit_radius: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -108,21 +107,21 @@ class DesignConfig:
         return self.two_qubit_separation
 
 
+# INI sections in file order, each with the DesignConfig field it fills.  The
+# keys of a section are the fields of that field's dataclass, and a key is
+# optional when its field has a default.  [two_qubit] is the one exception:
+# its single required key fills the float two_qubit_separation.
+_SECTIONS = {"ring": "design", "material": "material", "beam": "beam",
+             "two_qubit": "two_qubit_separation", "simulation": "simulation",
+             "conventions": "conventions"}
+_SEPARATION_KEY = "ring_separation"
+_FIELD_TYPES = {f.name: f.type for f in fields(DesignConfig)}
+# section -> {key: default, or MISSING for a required key}
 _SCHEMA = {
-    "ring": {"radius", "width", "depth"},
-    "material": {"pair_density", "london_depth", "skin_depth"},
-    "beam": {"oam_index", "polarization", "intensity", "amplitude", "phase",
-             "detuning"},
-    "two_qubit": {"ring_separation"},
-    "simulation": {"t_final", "tol", "mode", "n_max"},
-    "conventions": {"intensity_convention", "effective_radius_rule",
-                    "explicit_radius"},
-}
+    section: ({_SEPARATION_KEY: MISSING} if section == "two_qubit" else
+              {f.name: f.default for f in fields(_FIELD_TYPES[attr])})
+    for section, attr in _SECTIONS.items()}
 _REQUIRED_SECTIONS = ("ring", "material", "beam")
-
-_SIM_DEFAULTS = {"t_final": 27e-12, "tol": 1e-9, "mode": "rwa", "n_max": 8}
-_CONV_DEFAULTS = {"intensity_convention": "paper-consistent",
-                  "effective_radius_rule": "rosa"}
 
 
 def _positive(value: float, field: str) -> float:
@@ -168,20 +167,26 @@ def loads_config(text: str) -> DesignConfig:
             return None
         return parser.get(section, key)
 
-    def quantity(section, key, units, default=None):
+    def quantity(section, key, units):
         raw = get(section, key)
-        if raw is None:
-            if default is None:
-                raise ValidationError(f"{section}.{key}", "required key missing")
-            return default
-        return parse_quantity(raw, units, f"{section}.{key}")
+        if raw is not None:
+            return parse_quantity(raw, units, f"{section}.{key}")
+        if _SCHEMA[section][key] is MISSING:
+            raise ValidationError(f"{section}.{key}", "required key missing")
+        return _SCHEMA[section][key]
 
-    ring = {key: _positive(quantity("ring", key, _LENGTH_UNITS), f"ring.{key}")
-            for key in ("radius", "width", "depth")}
-    separation = (
-        _positive(quantity("two_qubit", "ring_separation", _LENGTH_UNITS),
-                  "two_qubit.ring_separation")
-        if parser.has_section("two_qubit") else None)
+    def positive(section, key, units):
+        value = quantity(section, key, units)
+        return None if value is None else _positive(value, f"{section}.{key}")
+
+    def choice(section, key, allowed):
+        return _choice(get(section, key) or _SCHEMA[section][key], allowed,
+                       f"{section}.{key}")
+
+    ring = {f.name: positive("ring", f.name, _LENGTH_UNITS)
+            for f in fields(RingDesign)}
+    separation = (positive("two_qubit", _SEPARATION_KEY, _LENGTH_UNITS)
+                  if parser.has_section("two_qubit") else None)
     try:
         design = RingDesign(**ring)
     except ValueError as exc:
@@ -189,26 +194,17 @@ def loads_config(text: str) -> DesignConfig:
 
     try:
         material = Material(
-            pair_density=_positive(
-                quantity("material", "pair_density", _DENSITY_UNITS),
-                "material.pair_density"),
-            london_depth=_positive(
-                quantity("material", "london_depth", _LENGTH_UNITS),
-                "material.london_depth"),
-            skin_depth=_positive(
-                quantity("material", "skin_depth", _LENGTH_UNITS),
-                "material.skin_depth"),
-        )
+            pair_density=positive("material", "pair_density", _DENSITY_UNITS),
+            london_depth=positive("material", "london_depth", _LENGTH_UNITS),
+            skin_depth=positive("material", "skin_depth", _LENGTH_UNITS))
     except ValueError as exc:
         raise ValidationError("material", str(exc)) from exc
 
     raw_l = get("beam", "oam_index")
     if raw_l is None:
         raise ValidationError("beam.oam_index", "required key missing")
-    intensity = (quantity("beam", "intensity", _INTENSITY_UNITS)
-                 if get("beam", "intensity") is not None else None)
-    amplitude = (quantity("beam", "amplitude", _AMPLITUDE_UNITS)
-                 if get("beam", "amplitude") is not None else None)
+    intensity = quantity("beam", "intensity", _INTENSITY_UNITS)
+    amplitude = quantity("beam", "amplitude", _AMPLITUDE_UNITS)
     if (intensity is None) == (amplitude is None):
         raise ValidationError(
             "beam", "exactly one of 'intensity' or 'amplitude' must be set")
@@ -218,46 +214,41 @@ def loads_config(text: str) -> DesignConfig:
         raise ValidationError("beam.amplitude", "must be non-negative")
     beam = BeamSettings(
         oam_index=_int_field(raw_l, "beam.oam_index"),
-        polarization=_choice(get("beam", "polarization") or "linear-x",
-                             POLARIZATIONS, "beam.polarization"),
+        polarization=choice("beam", "polarization", POLARIZATIONS),
+        phase=quantity("beam", "phase", _PHASE_UNITS),
+        detuning=quantity("beam", "detuning", _ANGULAR_FREQUENCY_UNITS),
         intensity=intensity,
         amplitude=amplitude,
-        phase=quantity("beam", "phase", _PHASE_UNITS, default=0.0),
-        detuning=quantity("beam", "detuning", _ANGULAR_FREQUENCY_UNITS,
-                          default=0.0),
     )
 
+    raw_n_max = get("simulation", "n_max")
     sim = SimulationSettings(
-        t_final=_positive(quantity("simulation", "t_final", _TIME_UNITS,
-                                   default=_SIM_DEFAULTS["t_final"]),
-                          "simulation.t_final"),
-        tol=quantity("simulation", "tol", _DIMENSIONLESS,
-                     default=_SIM_DEFAULTS["tol"]),
-        mode=_choice(get("simulation", "mode") or _SIM_DEFAULTS["mode"], MODES,
-                     "simulation.mode"),
-        n_max=_int_field(get("simulation", "n_max") or str(_SIM_DEFAULTS["n_max"]),
-                         "simulation.n_max"),
+        t_final=positive("simulation", "t_final", _TIME_UNITS),
+        tol=quantity("simulation", "tol", _DIMENSIONLESS),
+        mode=choice("simulation", "mode", MODES),
+        n_max=(_int_field(raw_n_max, "simulation.n_max") if raw_n_max
+               else _SCHEMA["simulation"]["n_max"]),
     )
-    if not 1e-13 <= sim.tol <= 1e-6:
-        raise ValidationError("simulation.tol", "must lie in [1e-13, 1e-6]")
-    if sim.n_max < 1 or sim.n_max > 64:
-        raise ValidationError("simulation.n_max", "must lie in [1, 64]")
+    if not TOL_RANGE[0] <= sim.tol <= TOL_RANGE[1]:
+        # the bounds as the docs write them: 1e-6, not 1e-06
+        low, high = (f"{v:g}".replace("e-0", "e-") for v in TOL_RANGE)
+        raise ValidationError("simulation.tol", f"must lie in [{low}, {high}]")
+    if not N_MAX_RANGE[0] <= sim.n_max <= N_MAX_RANGE[1]:
+        raise ValidationError("simulation.n_max",
+                              "must lie in [{}, {}]".format(*N_MAX_RANGE))
 
     conv = Conventions(
-        intensity_convention=_choice(
-            get("conventions", "intensity_convention")
-            or _CONV_DEFAULTS["intensity_convention"],
-            INTENSITY_CONVENTIONS, "conventions.intensity_convention"),
-        effective_radius_rule=_choice(
-            get("conventions", "effective_radius_rule")
-            or _CONV_DEFAULTS["effective_radius_rule"],
-            RADIUS_RULES, "conventions.effective_radius_rule"),
-        explicit_radius=(
-            _positive(quantity("conventions", "explicit_radius", _LENGTH_UNITS),
-                      "conventions.explicit_radius")
-            if get("conventions", "explicit_radius") is not None else None),
+        intensity_convention=choice(
+            "conventions", "intensity_convention",
+            [c.value for c in IntensityConvention]),
+        effective_radius_rule=choice(
+            "conventions", "effective_radius_rule",
+            [r.value for r in EffectiveRadiusRule]),
+        explicit_radius=positive("conventions", "explicit_radius",
+                                 _LENGTH_UNITS),
     )
-    if conv.effective_radius_rule == "explicit" and conv.explicit_radius is None:
+    if (conv.effective_radius_rule == EffectiveRadiusRule.EXPLICIT.value
+            and conv.explicit_radius is None):
         raise ValidationError("conventions.explicit_radius",
                               "required when effective_radius_rule = explicit")
 
@@ -286,43 +277,13 @@ def load_bundled_config(name: str = "paper-design") -> DesignConfig:
 def dumps_config(config: DesignConfig) -> str:
     """Serialize a resolved config (all SI base units, full precision)."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser["ring"] = {
-        "radius": repr(config.design.radius),
-        "width": repr(config.design.width),
-        "depth": repr(config.design.depth),
-    }
-    parser["material"] = {
-        "pair_density": repr(config.material.pair_density),
-        "london_depth": repr(config.material.london_depth),
-        "skin_depth": repr(config.material.skin_depth),
-    }
-    beam = {
-        "oam_index": str(config.beam.oam_index),
-        "polarization": config.beam.polarization,
-        "phase": repr(config.beam.phase),
-        "detuning": repr(config.beam.detuning),
-    }
-    if config.beam.intensity is not None:
-        beam["intensity"] = repr(config.beam.intensity)
-    else:
-        beam["amplitude"] = repr(config.beam.amplitude)
-    parser["beam"] = beam
-    if config.two_qubit_separation is not None:
-        parser["two_qubit"] = {
-            "ring_separation": repr(config.two_qubit_separation)}
-    parser["simulation"] = {
-        "t_final": repr(config.simulation.t_final),
-        "tol": repr(config.simulation.tol),
-        "mode": config.simulation.mode,
-        "n_max": str(config.simulation.n_max),
-    }
-    conventions = {
-        "intensity_convention": config.conventions.intensity_convention,
-        "effective_radius_rule": config.conventions.effective_radius_rule,
-    }
-    if config.conventions.explicit_radius is not None:
-        conventions["explicit_radius"] = repr(config.conventions.explicit_radius)
-    parser["conventions"] = conventions
+    for section, attr in _SECTIONS.items():
+        value = getattr(config, attr)
+        items = asdict(value) if is_dataclass(value) else {_SEPARATION_KEY: value}
+        written = {key: item if isinstance(item, str) else repr(item)
+                   for key, item in items.items() if item is not None}
+        if written:
+            parser[section] = written
 
     out = io.StringIO()
     parser.write(out)

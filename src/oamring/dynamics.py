@@ -27,12 +27,15 @@ from . import _kernels
 from .beam import BeamDrive, azimuthal_component
 from .constants import COOPER_CHARGE, HBAR
 from .coupling import matrix_element_terms
-from .errors import NotTwoLevel, StepSizeUnderflow
+from .errors import NotTwoLevel
 from .ring import DEFAULT_N_MAX, RingParams, level_angular_frequency
 
 _SUPPORT_TOL = 1e-12
 NORM_TOL = 1e-9     # accepted deviation of sum |c_n|^2 from 1
+MODES = ("full", "rwa")
 TOL_RANGE = (1e-13, 1e-6)
+DEFAULT_TOL = 1e-9
+DEFAULT_SAMPLES = 201
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +53,8 @@ class StateVector:
     def __post_init__(self):
         if self.n_max < 0:
             raise ValueError("n_max must be non-negative")
+        if not math.isfinite(self.reference_time):
+            raise ValueError("reference_time must be finite")
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2 * self.n_max + 1,):
             raise ValueError(
@@ -143,19 +148,6 @@ def floquet_min_periods(n_max: int) -> float:
     return 8.0 + n_max * n_max / 8.0
 
 
-def _step(c0, t0, times, terms, tol, t_total, probes=None):
-    """Run the kernel and turn a failure status into an exception."""
-    out, n_steps, status = _kernels.integrate(c0, t0, times, *terms, tol,
-                                              t_total, probes)
-    if status == 1:
-        raise StepSizeUnderflow(
-            f"step size underflow after {n_steps} steps (tol={tol})")
-    if status == 2:
-        raise StepSizeUnderflow(
-            f"step budget exhausted after {n_steps} steps (tol={tol})")
-    return out, int(n_steps)
-
-
 def _split_periods(times, t0, period):
     """Split ``times - t0`` into whole periods m (Python ints) and phases tau.
 
@@ -190,8 +182,8 @@ def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
     """
     dim = c0.shape[0]
     eye = np.eye(dim, dtype=np.complex128)
-    u_period, steps = _step(eye, t0, np.array([t0 + period]), terms, tol,
-                            t_total)
+    u_period, steps = _kernels.integrate(eye, t0, np.array([t0 + period]),
+                                         *terms, tol, t_total)
     powers = [np.exp(-1j * omega_levels * period)[:, None] * u_period[0]]
 
     whole, tau = _split_periods(times, t0, period)
@@ -209,8 +201,8 @@ def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
         w[k], done = state, m
 
     order = np.argsort(tau, kind="stable")
-    sampled, more = _step(eye, t0, t0 + tau[order], terms, tol, t_total,
-                          probes=w[order])
+    sampled, more = _kernels.integrate(eye, t0, t0 + tau[order], *terms, tol,
+                                       t_total, w[order])
     out = np.empty_like(sampled)
     out[order] = sampled
     frame = np.exp(1j * np.outer(np.array(whole, dtype=float) * period,
@@ -219,14 +211,14 @@ def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
 
 
 def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
-           t_final: float, tol: float = 1e-9, mode: str = "full",
+           t_final: float, tol: float = DEFAULT_TOL, mode: str = "full",
            sample_times: Optional[Sequence[float]] = None,
-           n_samples: int = 201) -> Trajectory:
+           n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Integrate the driven state over a duration ``t_final``.
 
     Parameters
     ----------
-    mode : {"full", "rwa"}
+    mode : str, one of ``MODES``
         "full" keeps every coupling term including static level shifts;
         "rwa" keeps only terms whose beat magnitude is below a tenth of the
         drive frequency.
@@ -255,8 +247,8 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
         raise ValueError("t_final must be positive")
     if not math.isfinite(t_final):
         raise ValueError("t_final must be finite")
-    if mode not in ("full", "rwa"):
-        raise ValueError("mode must be 'full' or 'rwa'")
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}")
 
     t0 = initial.reference_time
     if sample_times is None:
@@ -291,10 +283,10 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
                                        float(tol), float(t_final), period,
                                        omega_levels)
     else:
-        out, n_steps = _step(amps0, float(t0), times, terms, float(tol),
-                             float(t_final))
+        out, n_steps = _kernels.integrate(amps0, float(t0), times, *terms,
+                                          float(tol), float(t_final))
 
-    traj = Trajectory(times=times, amplitudes=out, n_steps=int(n_steps))
+    traj = Trajectory(times=times, amplitudes=out, n_steps=n_steps)
     bad = np.flatnonzero(np.abs(traj.norms - 1.0) > max(NORM_TOL, 10.0 * tol))
     if bad.size:
         raise ValueError(f"state not normalized: sum |c_n|^2 = {traj.norms[bad[0]]}")

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .beam import (BeamDrive, IntensityConvention, Polarization,
+from .beam import (POLARIZATIONS, BeamDrive, IntensityConvention,
                    amplitude_from_intensity)
 from .config import DesignConfig
 from .constants import SPEED_OF_LIGHT
@@ -12,14 +12,6 @@ from .coupling import rabi_frequency
 from .ring import (RingParams, derive_ring_params, level_energy,
                    level_supercurrent, transition_angular_frequency)
 from .twoqubit import TwoRingConfig, cz_gate_time, interaction_energy
-
-_POLARIZATION_BUILDERS = {
-    "linear-x": Polarization.linear_x,
-    "linear-y": Polarization.linear_y,
-    "right-circular": Polarization.right_circular,
-    "left-circular": Polarization.left_circular,
-}
-
 
 @dataclass(frozen=True)
 class ResolvedModel:
@@ -53,7 +45,7 @@ def resolve(config: DesignConfig) -> ResolvedModel:
         omega=omega,
         a0=a0_mag * complex(math.cos(config.beam.phase),
                             math.sin(config.beam.phase)),
-        polarization=_POLARIZATION_BUILDERS[config.beam.polarization]())
+        polarization=POLARIZATIONS[config.beam.polarization]())
     two_ring = None
     if config.two_qubit_separation is not None:
         two_ring = TwoRingConfig.from_separation(

@@ -192,6 +192,24 @@ def test_dynamics_non_finite_t_final_is_usage_error(mode, t_final):
     assert text == "error: t_final must be finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n-levels", "-2"],
+    ["rabi", "--points", "0"],
+    ["czgate", "--samples", "0"],
+    ["rabi", "--min-scale", "0"],
+    ["rabi", "--min-scale", "-0.5"],
+    ["rabi", "--min-scale", "nan"],
+    ["rabi", "--max-scale", "-3"],
+    ["rabi", "--max-scale", "inf"],
+], ids=" ".join)
+def test_bad_count_or_scale_is_usage_error(argv):
+    # a count below its minimum or a scale that is not positive and finite
+    # names its flag instead of printing an empty or numpy-made report
+    code, text = run(argv)
+    assert code == 1
+    assert text.startswith(f"error: {argv[1]} must be ")
+
+
 def test_non_finite_config_number_is_usage_error(tmp_path):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text(MINIMAL.replace("intensity = 6.6e-3 W/cm^2",

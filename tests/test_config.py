@@ -1,9 +1,23 @@
-import pytest
+import configparser
+import re
+from pathlib import Path
 
-from oamring.config import (dumps_config, load_bundled_config, load_config,
-                            loads_config, parse_quantity)
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oamring import config as config_module
+from oamring.beam import POLARIZATIONS, IntensityConvention
+from oamring.config import (N_MAX_RANGE, BeamSettings, Conventions,
+                            DesignConfig, SimulationSettings, dumps_config,
+                            load_bundled_config, load_config, loads_config,
+                            parse_quantity)
+from oamring.dynamics import DEFAULT_TOL, MODES, TOL_RANGE
 from oamring.errors import (MissingSection, ParseError, UnknownKey,
                             ValidationError)
+from oamring.ring import DEFAULT_N_MAX, EffectiveRadiusRule, Material, RingDesign
+
+SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config-schema.md"
 
 GOOD = """
 [ring]
@@ -212,3 +226,145 @@ def test_non_finite_numbers_rejected(key, unit, value):
     with pytest.raises(ValidationError, match="finite") as info:
         loads_config(text)
     assert info.value.field == f"beam.{key}"
+
+
+# -- property: dump then load is the identity over the whole config space --
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def ring_designs(draw):
+    radius, width = draw(POSITIVE), draw(POSITIVE)
+    assume(width < radius / 10.0)
+    return RingDesign(radius=radius, width=width, depth=draw(POSITIVE))
+
+
+@st.composite
+def beam_settings(draw):
+    level = draw(NON_NEGATIVE)
+    intensity, amplitude = draw(st.sampled_from([(level, None), (None, level)]))
+    return BeamSettings(
+        oam_index=draw(st.integers()),
+        polarization=draw(st.sampled_from(list(POLARIZATIONS))),
+        phase=draw(FINITE), detuning=draw(FINITE),
+        intensity=intensity, amplitude=amplitude)
+
+
+@st.composite
+def conventions(draw):
+    rule = draw(st.sampled_from([r.value for r in EffectiveRadiusRule]))
+    explicit = rule == EffectiveRadiusRule.EXPLICIT.value
+    return Conventions(
+        intensity_convention=draw(
+            st.sampled_from([c.value for c in IntensityConvention])),
+        effective_radius_rule=rule,
+        explicit_radius=draw(POSITIVE if explicit else st.none() | POSITIVE))
+
+
+# the default settings stand for a section left out of the file
+DESIGN_CONFIGS = st.builds(
+    DesignConfig,
+    design=ring_designs(),
+    material=st.builds(Material, pair_density=POSITIVE,
+                       london_depth=POSITIVE, skin_depth=POSITIVE),
+    beam=beam_settings(),
+    simulation=st.just(SimulationSettings()) | st.builds(
+        SimulationSettings, t_final=POSITIVE, tol=st.floats(*TOL_RANGE),
+        mode=st.sampled_from(MODES), n_max=st.integers(*N_MAX_RANGE)),
+    conventions=st.just(Conventions()) | conventions(),
+    two_qubit_separation=st.none() | POSITIVE)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(DESIGN_CONFIGS, st.booleans())
+def test_dump_load_round_trip_property(config, omit_default_sections):
+    text = dumps_config(config)
+    assert (config.two_qubit_separation is None) == ("[two_qubit]" not in text)
+    if omit_default_sections:
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(text)
+        for section, defaults in (("simulation", SimulationSettings()),
+                                  ("conventions", Conventions())):
+            if getattr(config, section) == defaults:
+                parser.remove_section(section)
+        lines = []
+        for section in parser.sections():
+            lines.append(f"[{section}]")
+            lines.extend(f"{key} = {value}"
+                         for key, value in parser.items(section))
+        text = "\n".join(lines)
+    assert loads_config(text) == config
+
+
+# -- the schema document states the values the code owns --
+
+def _doc_tables():
+    """{section: {key: [meaning or choices, units or default]}} from the doc."""
+    tables, section = {}, None
+    for line in SCHEMA_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            heading = re.match(r"## `\[(\w+)\]`", line)
+            section = heading and tables.setdefault(heading.group(1), {})
+            continue
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        key = re.fullmatch(r"`(\w+)`", cells[0])
+        if section is not None and key:
+            section[key.group(1)] = cells[1:]
+    return tables
+
+
+def _ticked(text):
+    return re.findall(r"`([^`]+)`", text)
+
+
+def test_schema_doc_lists_every_key():
+    tables = _doc_tables()
+    assert {section: set(keys) for section, keys in tables.items()} == {
+        section: set(keys) for section, keys in config_module._SCHEMA.items()}
+
+
+def test_schema_doc_matches_owning_constants():
+    tables = _doc_tables()
+    beam, sim, conv = tables["beam"], tables["simulation"], tables["conventions"]
+
+    choices, default = beam["polarization"][0].split(";")
+    assert _ticked(choices) == list(POLARIZATIONS)
+    assert _ticked(default) == [BeamSettings.polarization]
+    for key in ("phase", "detuning"):
+        default = re.search(r"\(default (\S+)\)", beam[key][0]).group(1)
+        assert float(default) == getattr(BeamSettings, key)
+
+    assert _ticked(sim["mode"][0]) == list(MODES)
+    low, high = re.search(r"\[(.+),(.+)\]", sim["tol"][0]).groups()
+    assert (float(low), float(high)) == TOL_RANGE
+    low, high = re.search(r"(\d+)\.\.(\d+)", sim["n_max"][0]).groups()
+    assert (int(low), int(high)) == N_MAX_RANGE
+    defaults = {key: _ticked(cells[1])[0] for key, cells in sim.items()}
+    assert parse_quantity(defaults["t_final"], {"ps": 1e-12}, "t_final") == \
+        pytest.approx(SimulationSettings.t_final, rel=1e-15)
+    assert float(defaults["tol"]) == SimulationSettings.tol == DEFAULT_TOL
+    assert defaults["mode"] == SimulationSettings.mode
+    assert int(defaults["n_max"]) == SimulationSettings.n_max == DEFAULT_N_MAX
+
+    assert _ticked(conv["intensity_convention"][0]) == [
+        c.value for c in IntensityConvention]
+    assert _ticked(conv["effective_radius_rule"][0]) == [
+        r.value for r in EffectiveRadiusRule]
+    assert _ticked(conv["intensity_convention"][1]) == [
+        Conventions.intensity_convention]
+    assert _ticked(conv["effective_radius_rule"][1]) == [
+        Conventions.effective_radius_rule]
+    assert conv["explicit_radius"][1] == "-" and Conventions.explicit_radius is None
+
+
+def test_tol_range_message_matches_doc():
+    # the bounds print as the doc writes them, not as repr(1e-6) = '1e-06'
+    with pytest.raises(ValidationError) as info:
+        loads_config(GOOD.replace("tol = 1e-9", "tol = 1e-3"))
+    assert str(info.value) == "simulation.tol: must lie in [1e-13, 1e-6]"
+    with pytest.raises(ValidationError) as info:
+        loads_config(GOOD.replace("n_max = 8", "n_max = 65"))
+    assert str(info.value) == "simulation.n_max: must lie in [1, 64]"

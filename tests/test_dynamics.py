@@ -8,7 +8,7 @@ from oamring.beam import BeamDrive, Polarization, azimuthal_component
 from oamring.constants import COOPER_CHARGE
 from oamring.coupling import rabi_frequency
 from oamring.dynamics import (StateVector, Trajectory, _build_term_arrays,
-                              _split_periods, _step, density_profile,
+                              _split_periods, density_profile,
                               dipole_moment, evolve, floquet_min_periods,
                               pattern_rotation_check)
 from oamring.errors import NotTwoLevel, StepSizeUnderflow
@@ -115,8 +115,8 @@ def test_evolve_rejects_norm_drift(monkeypatch, chain_params, lg01_beam):
     real = _kernels.integrate
 
     def drifting(*args):
-        out, n_steps, status = real(*args)
-        return out * (1.0 + 1e-7), n_steps, status
+        out, n_steps = real(*args)
+        return out * (1.0 + 1e-7), n_steps
 
     initial = StateVector.from_levels({0: 1.0}, n_max=4)
     evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9, mode="rwa",
@@ -236,6 +236,20 @@ def test_step_size_underflow(chain_params):
         evolve(initial, beam, chain_params, 1.0, tol=1e-10, n_samples=3)
 
 
+@pytest.mark.parametrize("mode, reference_time", [("rwa", math.inf),
+                                                   ("rwa", math.nan),
+                                                   ("full", math.inf)])
+def test_non_finite_reference_time_rejected(mode, reference_time):
+    # an unchecked start time made RWA runs return non-finite sample times,
+    # or fail later as a numerical error
+    model = resolve(load_bundled_config())
+    with pytest.raises(ValueError, match="reference_time must be finite"):
+        initial = StateVector.from_levels({0: 1.0}, n_max=8,
+                                          reference_time=reference_time)
+        evolve(initial, model.drive, model.params, 2e-13, mode=mode,
+               n_samples=3)
+
+
 def test_close_sample_times_do_not_underflow():
     model = resolve(load_bundled_config())
     initial = StateVector.from_levels({0: 1.0}, n_max=8)
@@ -248,8 +262,8 @@ def test_close_sample_times_do_not_underflow():
 def _direct_amplitudes(initial, beam, params, times, tol, t_final):
     terms = _build_term_arrays(azimuthal_component(beam), params,
                                initial.n_max)
-    out, _ = _step(initial.amplitudes, initial.reference_time, times, terms,
-                   tol, t_final)
+    out, _ = _kernels.integrate(initial.amplitudes, initial.reference_time,
+                                times, *terms, tol, t_final)
     return out
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from oamring import _kernels
 from oamring._kernels import integrate
+from oamring.errors import StepSizeUnderflow
 
 # one kernel; the id keeps the reported test names stable
 KERNEL = pytest.mark.parametrize("kernel", [integrate], ids=["_integrate_numpy"])
@@ -36,8 +38,7 @@ def two_level_problem(omega, t_final, n_samples):
 @KERNEL
 def test_oscillating_scalar_mode(kernel):
     args, exact = single_mode_problem(2.0e9 + 1.5e9j, 4.0e10, 1e-9, 41)
-    out, n_steps, status = kernel(*args, 1e-10, 1e-9)
-    assert status == 0
+    out, n_steps = kernel(*args, 1e-10, 1e-9)
     np.testing.assert_allclose(out[:, 0], exact, rtol=0, atol=1e-9)
 
 
@@ -45,8 +46,7 @@ def test_oscillating_scalar_mode(kernel):
 def test_two_level_rotation(kernel):
     omega = 2 * np.pi * 1e9
     args, samples = two_level_problem(omega, 3e-9, 61)
-    out, n_steps, status = kernel(*args, 1e-11, 3e-9)
-    assert status == 0
+    out, n_steps = kernel(*args, 1e-11, 3e-9)
     np.testing.assert_allclose(np.abs(out[:, 1]) ** 2,
                                np.sin(omega * samples / 2) ** 2,
                                rtol=0, atol=1e-10)
@@ -59,8 +59,7 @@ def test_error_budget_scales_with_tol(kernel):
     errs = []
     for tol in (1e-7, 1e-9, 1e-11):
         args, exact = single_mode_problem(1.0e9 + 0.5e9j, 3.0e10, 1e-9, 11)
-        out, _, status = kernel(*args, tol, 1e-9)
-        assert status == 0
+        out, _ = kernel(*args, tol, 1e-9)
         errs.append(float(np.max(np.abs(out[:, 0] - exact))))
     # each hundredfold tolerance cut should buy well over tenfold accuracy
     assert errs[1] < errs[0] / 10
@@ -75,9 +74,8 @@ def test_zero_rhs_reaches_samples_exactly(kernel):
     empty_c = np.zeros(0, dtype=np.complex128)
     empty_f = np.zeros(0)
     samples = np.array([0.0, 1e-12, 7e-10, 1e-9])
-    out, _, status = kernel(c0, 0.0, samples, empty_i, empty_i, empty_c,
-                            empty_f, 1e-9, 1e-9)
-    assert status == 0
+    out, _ = kernel(c0, 0.0, samples, empty_i, empty_i, empty_c, empty_f,
+                    1e-9, 1e-9)
     assert np.all(out[:, 0] == c0[0])
 
 
@@ -85,8 +83,23 @@ def test_zero_rhs_reaches_samples_exactly(kernel):
 def test_underflow_status(kernel):
     # beat far beyond anything resolvable within the requested span
     args, _ = single_mode_problem(1.0e12 + 0j, 1e30, 1.0, 3)
-    out, n_steps, status = kernel(*args, 1e-10, 1.0)
-    assert status == 1
+    with pytest.raises(StepSizeUnderflow,
+                       match=r"step size underflow at t = 0\.0 s after \d+ "
+                             r"steps: h = .* s, err/target = .* \(tol=1e-10\)"):
+        kernel(*args, 1e-10, 1.0)
+
+
+def test_step_budget_raises(monkeypatch):
+    monkeypatch.setattr(_kernels, "MAX_STEPS", 5)
+    args, _ = single_mode_problem(2.0e9 + 1.5e9j, 4.0e10, 1e-9, 41)
+    with pytest.raises(StepSizeUnderflow) as info:
+        integrate(*args, 1e-10, 1e-9)
+    message = str(info.value)
+    assert message.startswith("step budget exhausted at t = ")
+    assert "after 5 steps: h = " in message
+    # the last attempted step's ratio is a number, not a placeholder
+    ratio = float(message.split("err/target = ")[1].split()[0])
+    assert np.isfinite(ratio)
 
 
 def two_level_propagator(omega, t):
@@ -98,8 +111,7 @@ def two_level_propagator(omega, t):
 def test_identity_state_gives_propagator():
     omega = 2 * np.pi * 1e9
     args, samples = two_level_problem(omega, 3e-9, 31)
-    out, _, status = integrate(np.eye(2, dtype=complex), *args[1:], 1e-11, 3e-9)
-    assert status == 0
+    out, _ = integrate(np.eye(2, dtype=complex), *args[1:], 1e-11, 3e-9)
     assert out.shape == (31, 2, 2)
     np.testing.assert_allclose(out, two_level_propagator(omega, samples),
                                rtol=0, atol=1e-10)
@@ -110,9 +122,8 @@ def test_probes_record_matrix_times_vector():
     args, samples = two_level_problem(omega, 3e-9, 31)
     rng = np.random.default_rng(5)
     probes = rng.normal(size=(31, 2)) + 1j * rng.normal(size=(31, 2))
-    out, _, status = integrate(np.eye(2, dtype=complex), *args[1:], 1e-11,
+    out, _ = integrate(np.eye(2, dtype=complex), *args[1:], 1e-11,
                                3e-9, probes)
-    assert status == 0
     assert out.shape == (31, 2)
     expected = np.einsum("kij,kj->ki", two_level_propagator(omega, samples),
                          probes)
@@ -124,8 +135,7 @@ def test_close_samples_keep_the_step_size():
     # proposal below the step floor
     args, _ = single_mode_problem(2.0e9 + 1.5e9j, 4.0e10, 1e-9, 2)
     samples = np.array([0.0, 5e-10, 5e-10 + 1e-25, 1e-9])
-    out, _, status = integrate(args[0], 0.0, samples, *args[3:], 1e-10, 1e-9)
-    assert status == 0
+    out, _ = integrate(args[0], 0.0, samples, *args[3:], 1e-10, 1e-9)
     kappa, nu = args[5][0], args[6][0]
     exact = np.exp(kappa * (np.exp(1j * nu * samples) - 1.0) / (1j * nu))
     np.testing.assert_allclose(out[:, 0], exact, rtol=0, atol=1e-9)
