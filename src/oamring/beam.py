@@ -36,7 +36,7 @@ class Polarization:
 
     def __post_init__(self):
         norm = abs(self.ex) ** 2 + abs(self.ey) ** 2
-        if abs(norm - 1.0) > _JONES_NORM_TOL:
+        if not abs(norm - 1.0) <= _JONES_NORM_TOL:
             raise ValueError(f"Jones vector not normalized: |ex|^2+|ey|^2 = {norm}")
 
     @classmethod

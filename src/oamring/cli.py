@@ -229,6 +229,9 @@ def cmd_czgate(model: ResolvedModel, args) -> CommandResult:
     two_ring = model.two_ring
     t_cz = cz_gate_time(two_ring)
     t_total = args.t_total if args.t_total is not None else t_cz
+    if not 0.0 <= t_total < math.inf:
+        raise ValueError(
+            f"--t-total must be a non-negative finite number, got {t_total}")
     times = np.linspace(0.0, t_total, _at_least(args.samples, 1, "--samples"))
     rows = []
     for t in times:

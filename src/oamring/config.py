@@ -165,7 +165,10 @@ def loads_config(text: str) -> DesignConfig:
     def get(section, key):
         if not parser.has_section(section) or not parser.has_option(section, key):
             return None
-        return parser.get(section, key)
+        raw = parser.get(section, key)
+        if not raw.strip():
+            raise ValidationError(f"{section}.{key}", "empty value")
+        return raw
 
     def quantity(section, key, units):
         raw = get(section, key)
@@ -180,7 +183,8 @@ def loads_config(text: str) -> DesignConfig:
         return None if value is None else _positive(value, f"{section}.{key}")
 
     def choice(section, key, allowed):
-        return _choice(get(section, key) or _SCHEMA[section][key], allowed,
+        raw = get(section, key)
+        return _choice(_SCHEMA[section][key] if raw is None else raw, allowed,
                        f"{section}.{key}")
 
     ring = {f.name: positive("ring", f.name, _LENGTH_UNITS)
@@ -226,8 +230,8 @@ def loads_config(text: str) -> DesignConfig:
         t_final=positive("simulation", "t_final", _TIME_UNITS),
         tol=quantity("simulation", "tol", _DIMENSIONLESS),
         mode=choice("simulation", "mode", MODES),
-        n_max=(_int_field(raw_n_max, "simulation.n_max") if raw_n_max
-               else _SCHEMA["simulation"]["n_max"]),
+        n_max=(_SCHEMA["simulation"]["n_max"] if raw_n_max is None
+               else _int_field(raw_n_max, "simulation.n_max")),
     )
     if not TOL_RANGE[0] <= sim.tol <= TOL_RANGE[1]:
         # the bounds as the docs write them: 1e-6, not 1e-06

@@ -90,8 +90,8 @@ def cz_gate_time(config: TwoRingConfig) -> float:
 
 def controlled_phase(t: float, config: TwoRingConfig) -> float:
     """Accumulated controlled phase H(2,2) t / hbar, in rad."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and non-negative")
     return interaction_energy(2, 2, config) * t / HBAR
 
 
@@ -109,7 +109,7 @@ class TwoQubitState:
         if amps.shape != (4,):
             raise ValueError("need exactly 4 amplitudes")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: norm^2 = {norm}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -158,8 +158,8 @@ def evolve_two_qubit(initial: TwoQubitState, config: TwoRingConfig, t: float,
 
     Never mixes basis amplitudes; magnitudes are constant in time.
     """
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and non-negative")
     phases = phase_vector(config, t, include_self_energy)
     factors = np.exp(-1j * phases).astype(np.complex128)
     return TwoQubitState(initial.amplitudes * factors)

@@ -34,6 +34,8 @@ def closed_form_field(beam: BeamDrive, phi, t):
 def test_polarization_norm():
     with pytest.raises(ValueError, match="normalized"):
         Polarization(1.0, 1.0)
+    with pytest.raises(ValueError, match="normalized"):
+        Polarization(complex("nan"), 0.0j)
     for pol in POLARIZATIONS.values():
         assert abs(abs(pol.ex) ** 2 + abs(pol.ey) ** 2 - 1.0) <= 1e-12
 

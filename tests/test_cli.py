@@ -192,6 +192,13 @@ def test_dynamics_non_finite_t_final_is_usage_error(mode, t_final):
     assert text == "error: t_final must be finite\n"
 
 
+@pytest.mark.parametrize("t_total", ["nan", "inf", "-inf"])
+def test_czgate_non_finite_t_total_is_usage_error(t_total):
+    code, text = run(["czgate", f"--t-total={t_total}", "--samples", "2"])
+    assert code == 1
+    assert text.startswith("error: --t-total must be a non-negative finite")
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--n-levels", "-2"],
     ["rabi", "--points", "0"],

@@ -153,6 +153,17 @@ def test_mode_and_convention_choices():
         loads_config(GOOD.replace("tol = 1e-9", "tol = 1e-3"))
 
 
+@pytest.mark.parametrize("section, key", [
+    ("beam", "polarization"), ("simulation", "mode"), ("simulation", "tol"),
+    ("simulation", "n_max"), ("conventions", "effective_radius_rule")])
+def test_empty_value_rejected(section, key):
+    # an empty value is an error; only an absent key takes the default
+    text = re.sub(rf"^{key} = .*$", f"{key} =", GOOD, flags=re.MULTILINE)
+    with pytest.raises(ValidationError, match="empty value") as info:
+        loads_config(text)
+    assert info.value.field == f"{section}.{key}"
+
+
 def test_explicit_radius_rule_needs_radius():
     bad = GOOD.replace("effective_radius_rule = rosa",
                        "effective_radius_rule = explicit")

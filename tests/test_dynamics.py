@@ -43,6 +43,11 @@ def full_traj(chain_params, lg01_beam, rabi_period):
 def test_state_vector_validation():
     with pytest.raises(ValueError, match="normalized"):
         StateVector(n_max=2, amplitudes=np.array([1.0, 0, 0, 0, 1.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        StateVector(n_max=0, amplitudes=np.array([np.nan]))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="normalized"):
+        StateVector.from_levels({0: np.nan})
     with pytest.raises(ValueError, match="shape"):
         StateVector(n_max=2, amplitudes=np.zeros(3, dtype=complex))
     with pytest.raises(ValueError, match="outside basis"):
@@ -122,6 +127,21 @@ def test_evolve_rejects_norm_drift(monkeypatch, chain_params, lg01_beam):
     evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9, mode="rwa",
            n_samples=11)
     monkeypatch.setattr(_kernels, "integrate", drifting)
+    with pytest.raises(ValueError, match="state not normalized"):
+        evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9,
+               mode="rwa", n_samples=11)
+
+
+def test_evolve_rejects_nan_samples(monkeypatch, chain_params, lg01_beam):
+    real = _kernels.integrate
+
+    def nan_row(*args):
+        out, n_steps = real(*args)
+        out[-1] = np.nan
+        return out, n_steps
+
+    initial = StateVector.from_levels({0: 1.0}, n_max=4)
+    monkeypatch.setattr(_kernels, "integrate", nan_row)
     with pytest.raises(ValueError, match="state not normalized"):
         evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9,
                mode="rwa", n_samples=11)
@@ -309,6 +329,25 @@ def test_path_choice_follows_run_shape(monkeypatch, chain_params, lg01_beam):
         evolve(initial, lg01_beam, chain_params, t_final, tol=1e-6, mode=mode,
                n_samples=5)
         assert state_ranks == ranks, mode
+
+
+@pytest.mark.parametrize("mode", ["rwa", "full"])
+def test_sample_grid_does_not_steer_the_steps(chain_params, lg01_beam,
+                                              rabi_period, mode):
+    # RWA steps directly; the full run takes the Floquet path.  Its samples
+    # stay in the first period, so every pass-2 probe is the initial state
+    # and no powering order differs between the grids.
+    period = 2 * np.pi / lg01_beam.omega
+    t_final = (0.3 * rabi_period if mode == "rwa"
+               else floquet_min_periods(4) * period)
+    span = t_final if mode == "rwa" else 0.75 * period
+    initial = StateVector.from_levels({0: 0.8, 2: 0.6j}, n_max=4)
+    fine = np.linspace(0.0, span, 2001)
+    coarse, dense = (evolve(initial, lg01_beam, chain_params, t_final,
+                            tol=1e-9, mode=mode, sample_times=times)
+                     for times in (fine[::500], fine))
+    assert coarse.n_steps == dense.n_steps
+    np.testing.assert_array_equal(coarse.amplitudes, dense.amplitudes[::500])
 
 
 def test_floquet_period_boundary_samples(chain_params, lg01_beam):

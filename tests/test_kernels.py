@@ -37,9 +37,12 @@ def two_level_problem(omega, t_final, n_samples):
 
 @KERNEL
 def test_oscillating_scalar_mode(kernel):
-    args, exact = single_mode_problem(2.0e9 + 1.5e9j, 4.0e10, 1e-9, 41)
-    out, n_steps = kernel(*args, 1e-10, 1e-9)
-    np.testing.assert_allclose(out[:, 0], exact, rtol=0, atol=1e-9)
+    # 4001 samples put many samples inside each step
+    for n_samples in (41, 4001):
+        args, exact = single_mode_problem(2.0e9 + 1.5e9j, 4.0e10, 1e-9,
+                                          n_samples)
+        out, n_steps = kernel(*args, 1e-10, 1e-9)
+        np.testing.assert_allclose(out[:, 0], exact, rtol=0, atol=1e-9)
 
 
 @KERNEL
@@ -119,20 +122,22 @@ def test_identity_state_gives_propagator():
 
 def test_probes_record_matrix_times_vector():
     omega = 2 * np.pi * 1e9
-    args, samples = two_level_problem(omega, 3e-9, 31)
     rng = np.random.default_rng(5)
-    probes = rng.normal(size=(31, 2)) + 1j * rng.normal(size=(31, 2))
-    out, _ = integrate(np.eye(2, dtype=complex), *args[1:], 1e-11,
-                               3e-9, probes)
-    assert out.shape == (31, 2)
-    expected = np.einsum("kij,kj->ki", two_level_propagator(omega, samples),
-                         probes)
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
+    for n_samples in (31, 4001):
+        args, samples = two_level_problem(omega, 3e-9, n_samples)
+        probes = (rng.normal(size=(n_samples, 2))
+                  + 1j * rng.normal(size=(n_samples, 2)))
+        out, _ = integrate(np.eye(2, dtype=complex), *args[1:], 1e-11,
+                           3e-9, probes)
+        assert out.shape == (n_samples, 2)
+        expected = np.einsum("kij,kj->ki",
+                             two_level_propagator(omega, samples), probes)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
 
 
 def test_close_samples_keep_the_step_size():
-    # a step shortened to land 1e-28 s past a sample must not drag the next
-    # proposal below the step floor
+    # samples 1e-25 s apart fall inside one step and are read from its
+    # continuous extension; they must not drag the step below the floor
     args, _ = single_mode_problem(2.0e9 + 1.5e9j, 4.0e10, 1e-9, 2)
     samples = np.array([0.0, 5e-10, 5e-10 + 1e-25, 1e-9])
     out, _ = integrate(args[0], 0.0, samples, *args[3:], 1e-10, 1e-9)

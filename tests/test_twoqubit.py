@@ -100,9 +100,20 @@ def test_controlled_phase(two_ring):
         controlled_phase(-1.0, two_ring)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+def test_time_must_be_finite_and_non_negative(two_ring, t):
+    psi = TwoQubitState.equal_superposition()
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        controlled_phase(t, two_ring)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        evolve_two_qubit(psi, two_ring, t)
+
+
 def test_two_qubit_state_validation():
     with pytest.raises(ValueError, match="normalized"):
         TwoQubitState(np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        TwoQubitState(np.full(4, np.nan))
     with pytest.raises(ValueError, match="4 amplitudes"):
         TwoQubitState(np.array([1.0, 0.0]))
 
