@@ -22,7 +22,7 @@ from .constants import SPEED_OF_LIGHT
 from .coupling import rabi_frequency, resonance_catalog
 from .dynamics import (DEFAULT_SAMPLES, MODES, StateVector, dipole_moment,
                        evolve)
-from .errors import ConfigError, OamRingError, TruncationExceeded
+from .errors import ConfigError, OamRingError
 from .ring import (level_energy, level_supercurrent,
                    transition_angular_frequency)
 from .twoqubit import controlled_phase, cz_fidelity, cz_gate_time
@@ -167,13 +167,9 @@ def cmd_spectrum(model: ResolvedModel, args) -> CommandResult:
 
 
 def cmd_selection(model: ResolvedModel, args) -> CommandResult:
-    try:
-        entries = resonance_catalog(azimuthal_component(model.drive),
-                                    model.params, n_init=args.initial,
-                                    n_max=model.config.simulation.n_max)
-    except TruncationExceeded as exc:
-        # an --initial outside the basis is a usage error, not a numerical one
-        raise ValueError(str(exc)) from None
+    entries = resonance_catalog(azimuthal_component(model.drive),
+                                model.params, n_init=args.initial,
+                                n_max=model.config.simulation.n_max)
     rows = []
     for e in entries:
         wavelength = 2.0 * math.pi * SPEED_OF_LIGHT / e.required_omega
@@ -301,6 +297,16 @@ _COMMANDS = {
 }
 
 
+def _write(path: str, text: str) -> Tuple[int, str]:
+    """Write ``text`` to ``path``: (0, "") or (1, an error line)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return 1, f"error: cannot write {path}: {exc.strerror or exc}\n"
+    return 0, ""
+
+
 def run(argv: Optional[Sequence[str]] = None) -> Tuple[int, str]:
     """Execute a command line; returns (exit_code, output_text)."""
     parser = build_parser()
@@ -312,8 +318,9 @@ def run(argv: Optional[Sequence[str]] = None) -> Tuple[int, str]:
             config = load_bundled_config()
         model = resolve(config)
         if args.dump_config:
-            with open(args.dump_config, "w", encoding="utf-8") as fh:
-                fh.write(dumps_config(config))
+            code, error = _write(args.dump_config, dumps_config(config))
+            if code:
+                return code, error
         result = _COMMANDS[args.command](model, args)
     except ConfigError as exc:
         return 1, f"error: {exc}\n"
@@ -323,9 +330,7 @@ def run(argv: Optional[Sequence[str]] = None) -> Tuple[int, str]:
         return 2, f"error: {exc}\n"
     text = _RENDERERS[args.format](result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return 0, ""
+        return _write(args.out, text)
     return 0, text
 
 

@@ -10,15 +10,17 @@ in it:
 
 Between winding states the linear piece connects n -> n + k for each drive
 harmonic k and the quadratic piece connects n -> n + k1 + k2 for each ordered
-pair of harmonics.  ``matrix_element_terms`` performs that contraction in
-closed form; ``matrix_element_quadrature_oracle`` evaluates the same bracket
-by direct integration over phi and is the ground truth the closed form is
-tested against (overall phases are convention-laden, the oracle is not).
+pair of harmonics.  ``drive_products`` alone lists those products; the matrix
+elements, ``selection_rules`` and ``resonance_catalog`` all read it.
+``matrix_element_terms`` performs the contraction in closed form;
+``matrix_element_quadrature_oracle`` evaluates the same bracket by direct
+integration over phi and is the ground truth the closed form is tested
+against (overall phases are convention-laden, the oracle is not).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 import numpy as np
 
@@ -57,6 +59,21 @@ def _check_truncation(m: int, n: int, n_max: int):
             f"levels ({m}, {n}) outside truncated basis |n| <= {n_max}")
 
 
+def drive_products(drive: HarmonicDrive) -> Iterator[tuple]:
+    """Every product of drive harmonics that enters H_I, as (k, s, factors).
+
+    Each harmonic (order 1, linear piece) and then each ordered pair of
+    harmonics (order 2, quadratic piece), with k the winding change and s
+    the total time sign of the product, and ``factors`` the ``HarmonicTerm``s
+    multiplied; the order is ``len(factors)``.
+    """
+    for term in drive.terms:
+        yield term.winding, term.time_sign, (term,)
+    for t1 in drive.terms:
+        for t2 in drive.terms:
+            yield t1.winding + t2.winding, t1.time_sign + t2.time_sign, (t1, t2)
+
+
 def matrix_element_terms(m: int, n: int, drive: HarmonicDrive,
                          params: RingParams,
                          n_max: int = DEFAULT_N_MAX) -> List[MatrixElementTerm]:
@@ -80,17 +97,15 @@ def matrix_element_terms(m: int, n: int, drive: HarmonicDrive,
 
     # key: (order, total time sign) -> summed amplitude
     groups: dict = {}
-    for term in drive.terms:
-        if term.winding == m - n:
-            amp = coeff1 * (term.winding + 2 * n) * term.amplitude
-            key = (1, term.time_sign)
-            groups[key] = groups.get(key, 0.0) + amp
-    for t1 in drive.terms:
-        for t2 in drive.terms:
-            if t1.winding + t2.winding == m - n:
-                amp = coeff2 * t1.amplitude * t2.amplitude
-                key = (2, t1.time_sign + t2.time_sign)
-                groups[key] = groups.get(key, 0.0) + amp
+    for k, s_total, factors in drive_products(drive):
+        if k != m - n:
+            continue
+        if len(factors) == 1:
+            amp = coeff1 * (k + 2 * n) * factors[0].amplitude
+        else:
+            amp = coeff2 * factors[0].amplitude * factors[1].amplitude
+        key = (len(factors), s_total)
+        groups[key] = groups.get(key, 0.0) + amp
 
     out = []
     for (order, s_total), amp in sorted(groups.items()):
@@ -110,27 +125,22 @@ def evaluate_matrix_element(terms: List[MatrixElementTerm], t: float) -> complex
 _CDT = np.clongdouble
 _RDT = np.zeros(0, dtype=_CDT).real.dtype
 _PI_EXT = np.arccos(_RDT.type(-1.0))
-
-
-@lru_cache(maxsize=32)
-def _phi_grid(n_points: int):
-    phi = np.arange(n_points, dtype=_RDT) * (2 * _PI_EXT / _RDT.type(n_points))
-    phi.setflags(write=False)
-    return phi
+_PHI_GRID = (np.arange(ORACLE_POINTS, dtype=_RDT)
+             * (2 * _PI_EXT / _RDT.type(ORACLE_POINTS)))
+_PHI_GRID.setflags(write=False)
 
 
 @lru_cache(maxsize=64)
-def _winding_phase(k: int, n_points: int):
-    out = np.exp(1j * k * _phi_grid(n_points))
+def _winding_phase(k: int):
+    out = np.exp(1j * k * _PHI_GRID)
     out.setflags(write=False)
     return out
 
 
 @lru_cache(maxsize=128)
-def _drive_fields(drive: HarmonicDrive, t: float, n_points: int):
-    phi = _phi_grid(n_points)
-    a_phi = evaluate_A_phi(drive, phi, t, dtype=_CDT)
-    da_phi = evaluate_A_phi_derivative(drive, phi, t, dtype=_CDT)
+def _drive_fields(drive: HarmonicDrive, t: float):
+    a_phi = evaluate_A_phi(drive, _PHI_GRID, t, dtype=_CDT)
+    da_phi = evaluate_A_phi_derivative(drive, _PHI_GRID, t, dtype=_CDT)
     a_sq = a_phi * a_phi
     for arr in (a_phi, da_phi, a_sq):
         arr.setflags(write=False)
@@ -139,18 +149,17 @@ def _drive_fields(drive: HarmonicDrive, t: float, n_points: int):
 
 def matrix_element_quadrature_oracle(m: int, n: int, drive: HarmonicDrive,
                                      params: RingParams, t: float,
-                                     n_points: int = ORACLE_POINTS,
                                      n_max: int = DEFAULT_N_MAX) -> complex:
     """<m|H_I|n> by direct quadrature of the defining integral.
 
     The drive field and its phi-derivative are evaluated in closed form (no
     finite differencing); the phi-integral uses the periodic trapezoidal
     rule, which is exact for trigonometric polynomials of bandwidth below
-    ``n_points``.  Internally runs at extended precision so that tiny
+    ``ORACLE_POINTS``.  Internally runs at extended precision so that tiny
     elements sitting under large cancelling harmonics are still resolved.
     """
     _check_truncation(m, n, n_max)
-    a_phi, da_phi, a_sq = _drive_fields(drive, float(t), n_points)
+    a_phi, da_phi, a_sq = _drive_fields(drive, float(t))
 
     lin_coeff = (1j * _CDT(HBAR) * _CDT(COOPER_CHARGE)
                  / (2.0 * _CDT(COOPER_MASS) * _CDT(params.design.radius))
@@ -159,8 +168,8 @@ def matrix_element_quadrature_oracle(m: int, n: int, drive: HarmonicDrive,
 
     # (d/dphi A + A d/dphi) acting on exp(-i n phi) = dA - 2 i n A, times exp(-i n phi)
     bracket = lin_coeff * (da_phi - 2j * n * a_phi) + quad_coeff * a_sq
-    integrand = _winding_phase(m - n, n_points) * bracket
-    integral = integrand.sum() * (2 * _PI_EXT / _RDT.type(n_points))
+    integrand = _winding_phase(m - n) * bracket
+    integral = integrand.sum() * (2 * _PI_EXT / _RDT.type(ORACLE_POINTS))
 
     omega_m = level_angular_frequency(m, params)
     omega_n = level_angular_frequency(n, params)
@@ -174,10 +183,8 @@ def selection_rules(drive: HarmonicDrive) -> Set[Tuple[int, int]]:
     Order 1 covers the drive's nonzero harmonic windings; order 2 covers all
     nonzero pairwise winding sums.
     """
-    windings = [term.winding for term in drive.terms]
-    rules = {(k, 1) for k in windings if k != 0}
-    rules |= {(k1 + k2, 2) for k1 in windings for k2 in windings if k1 + k2 != 0}
-    return rules
+    return {(k, len(factors)) for k, _, factors in drive_products(drive)
+            if k != 0}
 
 
 def resonance_catalog(drive: HarmonicDrive, params: RingParams,
@@ -192,25 +199,16 @@ def resonance_catalog(drive: HarmonicDrive, params: RingParams,
     """
     _check_truncation(n_init, n_init, n_max)
     found: dict = {}
-
-    def _consider(delta: int, s_total: int, order: int, source: str):
-        if delta == 0 or s_total == 0:
-            return
+    for delta, s_total, factors in drive_products(drive):
         m = n_init + delta
-        if abs(m) > n_max:
-            return
+        if delta == 0 or s_total == 0 or abs(m) > n_max:
+            continue
         omega_mn = transition_angular_frequency(m, n_init, params)
         omega_req = omega_mn / s_total
         if omega_req <= 0.0:
-            return
-        found.setdefault((m, order, omega_req), source)
-
-    for term in drive.terms:
-        _consider(term.winding, term.time_sign, 1, f"k={term.winding:+d}")
-    for t1 in drive.terms:
-        for t2 in drive.terms:
-            _consider(t1.winding + t2.winding, t1.time_sign + t2.time_sign, 2,
-                      f"k={t1.winding:+d},{t2.winding:+d}")
+            continue
+        source = "k=" + ",".join(f"{f.winding:+d}" for f in factors)
+        found.setdefault((m, len(factors), omega_req), source)
 
     entries = [
         TransitionCatalogEntry(initial=n_init, final=m, required_omega=w,

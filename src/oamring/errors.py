@@ -13,8 +13,8 @@ class NonRealField(OamRingError):
     """A harmonic decomposition failed to reconstruct a real-valued field."""
 
 
-class TruncationExceeded(OamRingError):
-    """A level index lies outside the truncated winding basis."""
+class TruncationExceeded(OamRingError, ValueError):
+    """A level index lies outside the truncated basis (a usage error)."""
 
 
 class StepSizeUnderflow(OamRingError):

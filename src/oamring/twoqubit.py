@@ -10,7 +10,6 @@ and waiting for the |2,2> phase to reach pi implements a controlled-Z.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -57,13 +56,12 @@ class TwoRingConfig:
             raise ValueError("mutual inductance must be positive")
 
     @classmethod
-    def from_separation(cls, params_a: RingParams, separation: float,
-                        params_b: Optional[RingParams] = None) -> "TwoRingConfig":
-        """Derive the mutual inductance from the coaxial-loop formula."""
-        mutual = mutual_inductance_coaxial(params_a.design.radius, separation)
-        return cls(params_a=params_a,
-                   params_b=params_b if params_b is not None else params_a,
-                   separation=separation, mutual=mutual)
+    def from_separation(cls, params: RingParams,
+                        separation: float) -> "TwoRingConfig":
+        """Two identical rings; M from the coaxial-loop formula."""
+        mutual = mutual_inductance_coaxial(params.design.radius, separation)
+        return cls(params_a=params, params_b=params, separation=separation,
+                   mutual=mutual)
 
 
 def interaction_energy(n_a: int, n_b: int, config: TwoRingConfig) -> float:

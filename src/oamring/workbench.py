@@ -9,6 +9,7 @@ from .beam import (POLARIZATIONS, BeamDrive, IntensityConvention,
 from .config import DesignConfig
 from .constants import SPEED_OF_LIGHT
 from .coupling import rabi_frequency
+from .errors import ValidationError
 from .ring import (RingParams, derive_ring_params, level_energy,
                    level_supercurrent, transition_angular_frequency)
 from .twoqubit import TwoRingConfig, cz_gate_time, interaction_energy
@@ -34,6 +35,10 @@ def resolve(config: DesignConfig) -> ResolvedModel:
         wire_radius=config.conventions.explicit_radius)
     omega_res = transition_angular_frequency(2, 0, params)
     omega = omega_res + config.beam.detuning
+    if not omega > 0.0:
+        raise ValidationError(
+            "beam.detuning",
+            f"omega_20 + detuning must be positive, got {omega!r} rad/s")
     if config.beam.intensity is not None:
         a0_mag = amplitude_from_intensity(
             config.beam.intensity, omega,

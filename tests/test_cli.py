@@ -228,6 +228,19 @@ def test_non_finite_config_number_is_usage_error(tmp_path):
         assert text.startswith("error: beam.detuning:") and "finite" in text
 
 
+def test_non_positive_drive_frequency_names_detuning(tmp_path):
+    cfg = tmp_path / "red.cfg"
+    cfg.write_text(MINIMAL.replace("intensity = 6.6e-3 W/cm^2",
+                                   "intensity = 6.6e-3 W/cm^2\n"
+                                   "detuning = -3e15 rad/s"),
+                   encoding="utf-8")
+    for command in ("feasibility", "dynamics"):
+        code, text = run(["--config", str(cfg), command])
+        assert code == 1
+        assert text.startswith("error: beam.detuning: omega_20 + detuning "
+                               "must be positive, got -")
+
+
 def test_czgate_reaches_unit_fidelity():
     code, text = run(["--format", "json", "czgate", "--samples", "5"])
     assert code == 0
@@ -268,6 +281,15 @@ def test_out_flag_writes_file(tmp_path):
     assert code == 0
     assert text == ""
     assert json.loads(out.read_text())["command"] == "feasibility"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-config"])
+def test_unwritable_path_is_usage_error(tmp_path, flag):
+    path = tmp_path / "missing" / "report"
+    code, text = run([flag, str(path), "feasibility"])
+    assert code == 1
+    assert text.startswith(f"error: cannot write {path}: ")
+    assert text.count("\n") == 1
 
 
 def test_config_round_trip_bitwise(tmp_path):

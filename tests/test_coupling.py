@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oamring import beam
 from oamring.beam import BeamDrive, Polarization, azimuthal_component
 from oamring.constants import COOPER_CHARGE, COOPER_MASS, HBAR
 from oamring.coupling import (evaluate_matrix_element,
                               matrix_element_quadrature_oracle,
                               matrix_element_terms, rabi_frequency,
                               resonance_catalog, selection_rules)
+from oamring.dynamics import _build_term_arrays
 from oamring.errors import TruncationExceeded
 from oamring.ring import transition_angular_frequency
 
@@ -233,3 +235,79 @@ def test_rabi_frequency_vs_published_band(chain_params):
     omega = rabi_frequency(chain_params, PUBLISHED_A0)
     ratio = (omega / (2 * math.pi * 1e9)) / 54.0
     assert 1.0 / (2 * math.pi) <= ratio <= 2 * math.pi
+
+
+# the drive-products invariants: OAM index x every named polarization x n_max
+SWEEP_A0 = PUBLISHED_A0 * np.exp(0.4j)
+SWEEP_N_MAX = (2, 8, 16)
+
+
+def _swept_beams(omega):
+    for l in range(-3, 4):
+        for polarization in beam.POLARIZATIONS.values():
+            yield BeamDrive(l, omega, SWEEP_A0, polarization())
+
+
+@pytest.fixture(scope="module")
+def swept_elements(chain_params, w20):
+    """(drive, n_max, [(m, n, <m|H_I|n> terms)] over all level pairs)."""
+    out = []
+    for b in _swept_beams(w20):
+        drive = azimuthal_component(b)
+        for n_max in SWEEP_N_MAX:
+            levels = range(-n_max, n_max + 1)
+            out.append((drive, n_max, [
+                (m, n, matrix_element_terms(m, n, drive, chain_params, n_max))
+                for m in levels for n in levels]))
+    return out
+
+
+def test_every_term_is_covered_by_selection_rules(swept_elements):
+    checked = 0
+    for drive, _, elements in swept_elements:
+        rules = selection_rules(drive)
+        for m, n, terms in elements:
+            if m == n:
+                continue
+            for term in terms:
+                assert (m - n, term.order) in rules
+                checked += 1
+    assert checked == 8868
+
+
+def test_catalog_frequencies_zero_the_matching_beat(chain_params, w20):
+    checked = 0
+    for b in _swept_beams(w20):
+        drive = azimuthal_component(b)
+        for n_max in SWEEP_N_MAX:
+            for n_init in (-1, 0, 2):
+                for e in resonance_catalog(drive, chain_params, n_init, n_max):
+                    tuned = azimuthal_component(BeamDrive(
+                        b.oam_index, e.required_omega, b.a0, b.polarization))
+                    terms = matrix_element_terms(e.final, e.initial, tuned,
+                                                 chain_params, n_max)
+                    assert any(t.order == e.order and t.beat == 0.0
+                               for t in terms), e
+                    checked += 1
+    assert checked == 526
+
+
+def test_term_arrays_match_all_pairs(swept_elements, chain_params):
+    # evolve's term table skips the pairs no drive product reaches; it must
+    # equal the table built from every pair, bit for bit
+    for drive, n_max, elements in swept_elements:
+        rows, cols, camps, nus = [], [], [], []
+        for m, n, terms in elements:
+            for term in terms:
+                rows.append(m + n_max)
+                cols.append(n + n_max)
+                camps.append(-1j * term.amplitude / HBAR)
+                nus.append(term.beat)
+        want = (np.asarray(rows, dtype=np.int64),
+                np.asarray(cols, dtype=np.int64),
+                np.asarray(camps, dtype=np.complex128),
+                np.asarray(nus, dtype=np.float64))
+        got = _build_term_arrays(drive, chain_params, n_max)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
