@@ -238,8 +238,23 @@ def cmd_czgate(model: ResolvedModel, args) -> CommandResult:
     return CommandResult("czgate", columns, rows, meta)
 
 
+class _ParserExit(Exception):
+    """The parser's answer instead of a run: ``args`` is (exit_code, text)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # hand help and usage errors back to ``run`` instead of printing and
+    # exiting; a usage error exits 1 like every other config or usage error,
+    # not argparse's 2 (sub-command parsers share the class)
+    def print_help(self, file=None):
+        raise _ParserExit(0, self.format_help())
+
+    def error(self, message):
+        raise _ParserExit(1, f"{self.format_usage()}error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oamring",
         description="Workbench for a junction-free superconducting ring qubit "
                     "driven by twisted light.")
@@ -309,8 +324,10 @@ def _write(path: str, text: str) -> Tuple[int, str]:
 
 def run(argv: Optional[Sequence[str]] = None) -> Tuple[int, str]:
     """Execute a command line; returns (exit_code, output_text)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _ParserExit as exc:
+        return exc.args
     try:
         if args.config is not None:
             config = load_config(args.config)

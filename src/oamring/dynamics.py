@@ -5,17 +5,24 @@ Evolution runs in the interaction picture: the state is expanded on the ring
 eigenfunctions including their energy phases, so the equations of motion
 contain only the coupling beats (differences of drive and transition
 frequencies), never the bare optical carrier.  ``evolve`` assembles the
-coupling term list once and hands the stepping to the kernel in
-``_kernels``.
+coupling term list once and either solves it in closed form (RWA) or hands
+the stepping to the kernel in ``_kernels`` (full mode).
+
+RWA runs are not stepped.  Every kept beat is a difference
+theta_r - theta_c of a level "potential" theta, so in the frame
+c_n = exp(i theta_n t) b_n the equations have a constant generator, and one
+Hermitian eigendecomposition per coupled level set gives every sample
+exactly (``_evolve_rwa``); ``tol`` does not set their accuracy and
+``n_steps`` is 0.  Only a term list that no theta fits is stepped.
 
 Full (non-RWA) runs that span many drive periods still carry the carrier in
 their beats, but the lab-frame Hamiltonian repeats exactly with the drive
 period.  Those runs step one period to get the Floquet monodromy, reach each
 sample's period by powering it, and step once more within a period for the
 sample phases (``_evolve_floquet``), so their cost no longer grows with the
-number of carrier cycles.  RWA runs and short full runs step directly.  The
-kernel interpolates every sample within its step, so the number of samples
-does not set the number of steps.
+number of carrier cycles.  Short full runs step directly.  The kernel
+interpolates every sample within its step, so the number of samples does
+not set the number of steps.
 A ``Trajectory`` keeps the samples as one (n_samples, dim) amplitude array.
 """
 
@@ -40,6 +47,7 @@ MODES = ("full", "rwa")
 TOL_RANGE = (1e-13, 1e-6)
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 201
+_RWA_BLOCK = 256    # samples per block of the closed-form RWA product
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +223,92 @@ def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
     return frame * out, steps + more
 
 
+def _rwa_frame(dim, rows, cols, nus, omega):
+    """Level potentials theta and the coupled level sets of RWA terms.
+
+    A breadth-first walk over the terms sets theta = 0 at the first level of
+    each set and theta_r = theta_c + nu along every term (r, c, nu).
+    Returns ``(theta, sets)``, or None when some term misses
+    theta_r - theta_c = nu by more than the rounding of the at most ``dim``
+    beats, each of size ``omega``, summed into a theta.  A true mismatch is
+    a whole multiple of ``omega`` around a cycle, which takes at least 11
+    kept terms of |nu| < omega / 10.
+    """
+    slack = 8.0 * dim * np.finfo(np.float64).eps * omega
+    neighbours = [[] for _ in range(dim)]
+    for r, c, nu in zip(rows.tolist(), cols.tolist(), nus.tolist()):
+        neighbours[c].append((r, nu))
+        neighbours[r].append((c, -nu))
+    theta = [None] * dim
+    sets = []
+    for root in range(dim):
+        if theta[root] is not None:
+            continue
+        theta[root] = 0.0
+        members = [root]
+        for level in members:       # grows while it is walked
+            for other, nu in neighbours[level]:
+                want = theta[level] + nu
+                if theta[other] is None:
+                    theta[other] = want
+                    members.append(other)
+                elif abs(theta[other] - want) > slack:
+                    return None
+        sets.append(members)
+    return np.array(theta), sets
+
+
+def _evolve_rwa(c0, t0, times, rows, cols, camps, nus, omega):
+    """Amplitudes at ``times`` under the kept RWA terms, in closed form.
+
+    With nu_j = theta_r - theta_c for every term, c_n = exp(i theta_n t) b_n
+    turns the equations into db/dt = G b with the constant
+    G = A - i diag(theta), A the terms' ``camps`` as a matrix.  Each coupled
+    level set is diagonalised on its own, i G = V diag(lam) V^+, so V is
+    block-diagonal and levels the initial state cannot reach stay exactly 0:
+
+        c(t_k) = exp(i theta t_k) * V exp(-i lam (t_k - t0)) V^+ exp(-i theta t0) c0.
+
+    Returns None when no theta fits the terms (see ``_rwa_frame``).
+    """
+    dim = c0.shape[0]
+    frame = _rwa_frame(dim, rows, cols, nus, omega)
+    if frame is None:
+        return None
+    theta, sets = frame
+
+    generator = np.diag(theta).astype(np.complex128)      # i G
+    np.add.at(generator, (rows, cols), 1j * camps)
+    lam = np.empty(dim)
+    vecs = np.zeros((dim, dim), dtype=np.complex128)
+    for members in sets:
+        block = np.ix_(members, members)
+        lam[members], vecs[block] = np.linalg.eigh(generator[block])
+    weights = vecs.conj().T @ (np.exp(-1j * theta * t0) * c0)
+    # V's entries within each set, grouped by row: output level i sums
+    # V[i, j] * modes[j] over the j of its own set only
+    v_rows, v_cols = np.array(sorted((i, j) for members in sets
+                                     for i in members for j in members)).T
+    v_vals = vecs[v_rows, v_cols]
+    starts = np.searchsorted(v_rows, np.arange(dim))
+    moving = np.flatnonzero(theta)      # the frame turns only these levels
+
+    # samples in blocks, so no temporary is as large as the output; each
+    # sample is summed on its own, so its value does not depend on the block
+    out = np.empty((times.size, dim), dtype=np.complex128)
+    scratch = np.empty((min(times.size, _RWA_BLOCK), dim), dtype=np.complex128)
+    for start in range(0, times.size, _RWA_BLOCK):
+        t = times[start:start + _RWA_BLOCK, None]
+        chunk, modes = out[start:start + _RWA_BLOCK], scratch[:t.shape[0]]
+        np.exp(np.multiply(t - t0, -1j * lam, out=modes), out=modes)
+        modes *= weights
+        products = modes[:, v_cols]
+        products *= v_vals
+        np.add.reduceat(products, starts, axis=1, out=chunk)
+        chunk[:, moving] *= np.exp(1j * t * theta[moving])
+    return out
+
+
 def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
            t_final: float, tol: float = DEFAULT_TOL, mode: str = "full",
            sample_times: Optional[Sequence[float]] = None,
@@ -226,16 +320,19 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
     mode : str, one of ``MODES``
         "full" keeps every coupling term including static level shifts;
         "rwa" keeps only terms whose beat magnitude is below a tenth of the
-        drive frequency.
+        drive frequency, and is solved in closed form, not stepped: the
+        result is exact to rounding and ``Trajectory.n_steps`` is 0.
         Full runs of at least ``floquet_min_periods(n_max)`` drive periods are
         propagated period by period with the Floquet monodromy instead of
         stepping every carrier cycle; the result is the same to the
         integration tolerance.
     tol : float
-        Accumulated local-error budget for the whole run; the norm drift
-        stays below 10 * tol.  Samples are interpolated within their steps
-        to the same budget, so they do not shorten steps: the steps depend
-        on the last sample time only, not on how many samples there are.
+        Accumulated local-error budget for the whole of a stepped
+        (full-mode) run; the norm drift stays below 10 * tol.  Samples are
+        interpolated within their steps to the same budget, so they do not
+        shorten steps: the steps depend on the last sample time only, not on
+        how many samples there are.  RWA runs check ``tol``'s range and the
+        norm drift against it, but their accuracy does not depend on it.
     sample_times : sequence of float, optional
         Absolute times (within the run span) at which to record the state;
         defaults to ``n_samples`` equispaced points.
@@ -283,13 +380,16 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
 
     amps0 = np.asarray(initial.amplitudes, dtype=np.complex128)
     period = 2.0 * math.pi / drive.omega
-    if mode == "full" and t_final >= floquet_min_periods(initial.n_max) * period:
+    out, n_steps = None, 0
+    if mode == "rwa":
+        out = _evolve_rwa(amps0, float(t0), times, *terms, drive.omega)
+    elif t_final >= floquet_min_periods(initial.n_max) * period:
         omega_levels = np.array([level_angular_frequency(n, params)
                                  for n in range(-initial.n_max, initial.n_max + 1)])
         out, n_steps = _evolve_floquet(amps0, float(t0), times, terms,
                                        float(tol), float(t_final), period,
                                        omega_levels)
-    else:
+    if out is None:
         out, n_steps = _kernels.integrate(amps0, float(t0), times, *terms,
                                           float(tol), float(t_final))
 

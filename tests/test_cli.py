@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -239,6 +242,51 @@ def test_non_positive_drive_frequency_names_detuning(tmp_path):
         assert code == 1
         assert text.startswith("error: beam.detuning: omega_20 + detuning "
                                "must be positive, got -")
+
+
+@pytest.mark.parametrize("argv, usage, message", [
+    (["dynamics", "--samples", "abc"], "usage: oamring dynamics ",
+     "argument --samples: invalid int value: 'abc'"),
+    (["--format", "xml", "dynamics"], "usage: oamring ",
+     "argument --format: invalid choice: 'xml'"),
+    (["nosuch"], "usage: oamring ",
+     "argument command: invalid choice: 'nosuch'"),
+], ids=["bad-int", "bad-format", "bad-command"])
+def test_parser_error_is_usage_error(capsys, argv, usage, message):
+    # argparse exits 2 by default, which is the numerical-failure code
+    code, text = run(argv)
+    assert code == 1
+    assert text.startswith(usage)
+    assert f"\nerror: {message}" in text and text.endswith("\n")
+    assert capsys.readouterr() == ("", "")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == text
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["dynamics", "-h"]])
+def test_help_is_returned_with_exit_zero(capsys, argv):
+    code, text = run(argv)
+    assert code == 0
+    assert text.startswith("usage: oamring ") and "\noptions:\n" in text
+    assert capsys.readouterr() == ("", "")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_rwa_dynamics_imports_no_scipy():
+    # the closed-form RWA path needs numpy alone; importing scipy would add
+    # to every cold start
+    script = ("import sys\n"
+              "from oamring.cli import run\n"
+              "code, _ = run(['dynamics', '--mode', 'rwa', '--samples', '50'])\n"
+              "print(code, 'scipy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_czgate_reaches_unit_fidelity():

@@ -2,19 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oamring import _kernels, load_bundled_config, resolve
-from oamring.beam import BeamDrive, Polarization, azimuthal_component
+from oamring import _kernels, dynamics, load_bundled_config, resolve
+from oamring.beam import (POLARIZATIONS, BeamDrive, IntensityConvention,
+                          Polarization, amplitude_from_intensity,
+                          azimuthal_component)
 from oamring.constants import COOPER_CHARGE
 from oamring.coupling import rabi_frequency
 from oamring.dynamics import (StateVector, Trajectory, _build_term_arrays,
-                              _split_periods, density_profile,
+                              _rwa_frame, _split_periods, density_profile,
                               dipole_moment, evolve, floquet_min_periods,
                               pattern_rotation_check)
 from oamring.errors import NotTwoLevel, StepSizeUnderflow
 from oamring.ring import transition_angular_frequency
 
-from conftest import PUBLISHED_A0
+from conftest import PUBLISHED_A0, PUBLISHED_INTENSITY
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +119,12 @@ def test_evolve_builds_no_state_vectors(monkeypatch, chain_params, lg01_beam):
     assert built == []
 
 
+def _direct_full_run(lg01_beam):
+    # a full-mode run short of the Floquet path, so the kernel steps it
+    period = 2 * np.pi / lg01_beam.omega
+    return 0.5 * floquet_min_periods(4) * period
+
+
 def test_evolve_rejects_norm_drift(monkeypatch, chain_params, lg01_beam):
     # a drift past max(1e-9, 10 tol) in any sample must be rejected
     real = _kernels.integrate
@@ -124,12 +134,13 @@ def test_evolve_rejects_norm_drift(monkeypatch, chain_params, lg01_beam):
         return out * (1.0 + 1e-7), n_steps
 
     initial = StateVector.from_levels({0: 1.0}, n_max=4)
-    evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9, mode="rwa",
+    t_final = _direct_full_run(lg01_beam)
+    evolve(initial, lg01_beam, chain_params, t_final, tol=1e-9, mode="full",
            n_samples=11)
     monkeypatch.setattr(_kernels, "integrate", drifting)
     with pytest.raises(ValueError, match="state not normalized"):
-        evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9,
-               mode="rwa", n_samples=11)
+        evolve(initial, lg01_beam, chain_params, t_final, tol=1e-9,
+               mode="full", n_samples=11)
 
 
 def test_evolve_rejects_nan_samples(monkeypatch, chain_params, lg01_beam):
@@ -142,6 +153,37 @@ def test_evolve_rejects_nan_samples(monkeypatch, chain_params, lg01_beam):
 
     initial = StateVector.from_levels({0: 1.0}, n_max=4)
     monkeypatch.setattr(_kernels, "integrate", nan_row)
+    with pytest.raises(ValueError, match="state not normalized"):
+        evolve(initial, lg01_beam, chain_params, _direct_full_run(lg01_beam),
+               tol=1e-9, mode="full", n_samples=11)
+
+
+def test_evolve_rejects_rwa_norm_drift(monkeypatch, chain_params, lg01_beam):
+    # the closed-form RWA samples pass the same norm check as stepped ones
+    real = dynamics._evolve_rwa
+
+    def drifting(*args):
+        return real(*args) * (1.0 + 1e-7)
+
+    initial = StateVector.from_levels({0: 1.0}, n_max=4)
+    evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9, mode="rwa",
+           n_samples=11)
+    monkeypatch.setattr(dynamics, "_evolve_rwa", drifting)
+    with pytest.raises(ValueError, match="state not normalized"):
+        evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9,
+               mode="rwa", n_samples=11)
+
+
+def test_evolve_rejects_rwa_nan_samples(monkeypatch, chain_params, lg01_beam):
+    real = dynamics._evolve_rwa
+
+    def nan_row(*args):
+        out = real(*args)
+        out[-1] = np.nan
+        return out
+
+    initial = StateVector.from_levels({0: 1.0}, n_max=4)
+    monkeypatch.setattr(dynamics, "_evolve_rwa", nan_row)
     with pytest.raises(ValueError, match="state not normalized"):
         evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9,
                mode="rwa", n_samples=11)
@@ -310,6 +352,104 @@ def test_floquet_matches_direct_stepping(chain_params, w20, n_max):
     assert np.max(np.abs(floquet - direct)) < 1e-10
 
 
+def _rwa_terms(beam, params, n_max):
+    rows, cols, camps, nus = _build_term_arrays(azimuthal_component(beam),
+                                                params, n_max)
+    keep = np.abs(nus) < beam.omega / 10.0
+    return rows[keep], cols[keep], camps[keep], nus[keep]
+
+
+@pytest.mark.parametrize("n_max", [8, 16])
+@pytest.mark.parametrize("detuning", [0.0, 0.37, -1.3])
+@pytest.mark.parametrize("polarization", list(POLARIZATIONS))
+def test_rwa_closed_form_matches_direct_stepping(chain_params, w20,
+                                                 rabi_period, polarization,
+                                                 detuning, n_max):
+    # complex amplitudes against the kernel stepping the same kept terms
+    omega_rabi = rabi_frequency(chain_params, PUBLISHED_A0)
+    beam = BeamDrive(1, w20 + detuning * omega_rabi, PUBLISHED_A0,
+                     POLARIZATIONS[polarization]())
+    t0, t_final = 5e-12, 3 * rabi_period
+    initial = StateVector.from_levels({0: 0.8, 1: 0.36j, 2: 0.48}, n_max=n_max,
+                                      reference_time=t0)
+    traj = evolve(initial, beam, chain_params, t_final, mode="rwa",
+                  n_samples=4000)
+    assert traj.n_steps == 0
+    terms = _rwa_terms(beam, chain_params, n_max)
+    direct, _ = _kernels.integrate(initial.amplitudes, t0, traj.times, *terms,
+                                   1e-13, t_final)
+    assert np.max(np.abs(traj.amplitudes - direct)) < 1e-10
+
+    # levels no chain of kept terms links to the initial state stay exactly 0
+    rows, cols = terms[:2]
+    reached = set(np.flatnonzero(initial.amplitudes).tolist())
+    while True:
+        grown = reached | set(rows[np.isin(cols, list(reached))].tolist())
+        if grown == reached:
+            break
+        reached = grown
+    unreached = [i for i in range(2 * n_max + 1) if i not in reached]
+    assert unreached
+    assert np.all(traj.amplitudes[:, unreached] == 0.0)
+
+
+def test_rwa_inconsistent_frame_falls_back_to_stepping(monkeypatch,
+                                                       chain_params,
+                                                       lg01_beam):
+    # a synthetic 3-cycle whose beats add up to 0.15 omega: no level
+    # potential fits it, so the RWA branch steps it with the kernel
+    omega = lg01_beam.omega
+    nu = 0.05 * omega
+    rows = np.array([1, 2, 0, 0, 1, 2])
+    cols = np.array([0, 1, 2, 1, 2, 0])
+    camps = np.full(6, -1e-3j * omega)          # a Hermitian coupling
+    nus = np.array([nu, nu, nu, -nu, -nu, -nu])
+    consistent = np.array([nu, nu, -2 * nu, -nu, -nu, 2 * nu])
+    assert _rwa_frame(3, rows, cols, consistent, omega) is not None
+    assert _rwa_frame(3, rows, cols, nus, omega) is None
+
+    terms = (rows, cols, camps, nus)
+    monkeypatch.setattr(dynamics, "_build_term_arrays", lambda *args: terms)
+    initial = StateVector.from_levels({0: 1.0}, n_max=1)
+    t_final = 20 * 2 * np.pi / omega
+    traj = evolve(initial, lg01_beam, chain_params, t_final, tol=1e-9,
+                  mode="rwa", n_samples=9)
+    stepped, n_steps = _kernels.integrate(initial.amplitudes, 0.0, traj.times,
+                                          *terms, 1e-9, t_final)
+    assert traj.n_steps == n_steps > 0
+    np.testing.assert_array_equal(traj.amplitudes, stepped)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(oam_index=st.integers(-6, 6),
+       polarization=st.sampled_from(list(POLARIZATIONS)),
+       detuning=st.floats(-3.0, 3.0),
+       n_max=st.sampled_from([2, 8, 32, 64]),
+       convention=st.sampled_from(list(IntensityConvention)))
+def test_rwa_frame_is_consistent_property(chain_params, oam_index,
+                                          polarization, detuning, n_max,
+                                          convention):
+    # every kept beat is a difference of level potentials, so RWA runs
+    # never fall back to stepping anywhere in the config space
+    w20 = transition_angular_frequency(2, 0, chain_params)
+    a0 = amplitude_from_intensity(PUBLISHED_INTENSITY, w20, convention)
+    omega = w20 + detuning * rabi_frequency(chain_params, a0)
+    beam = BeamDrive(oam_index, omega,
+                     amplitude_from_intensity(PUBLISHED_INTENSITY, omega,
+                                              convention),
+                     POLARIZATIONS[polarization]())
+    rows, cols, _, nus = _rwa_terms(beam, chain_params, n_max)
+    dim = 2 * n_max + 1
+    frame = _rwa_frame(dim, rows, cols, nus, omega)
+    assert frame is not None
+    theta, sets = frame
+    np.testing.assert_allclose(theta[rows] - theta[cols], nus, rtol=0,
+                               atol=1e-12 * omega)
+    assert sorted(i for members in sets for i in members) == list(range(dim))
+    set_of = {i: k for k, members in enumerate(sets) for i in members}
+    assert all(set_of[r] == set_of[c] for r, c in zip(rows, cols))
+
+
 def test_path_choice_follows_run_shape(monkeypatch, chain_params, lg01_beam):
     state_ranks = []
     real = _kernels.integrate
@@ -324,7 +464,7 @@ def test_path_choice_follows_run_shape(monkeypatch, chain_params, lg01_beam):
     shortest = floquet_min_periods(4) * period
     for mode, t_final, ranks in [("full", shortest, [2, 2]),
                                  ("full", 0.9 * shortest, [1]),
-                                 ("rwa", shortest, [1])]:
+                                 ("rwa", shortest, [])]:
         state_ranks.clear()
         evolve(initial, lg01_beam, chain_params, t_final, tol=1e-6, mode=mode,
                n_samples=5)
@@ -334,7 +474,7 @@ def test_path_choice_follows_run_shape(monkeypatch, chain_params, lg01_beam):
 @pytest.mark.parametrize("mode", ["rwa", "full"])
 def test_sample_grid_does_not_steer_the_steps(chain_params, lg01_beam,
                                               rabi_period, mode):
-    # RWA steps directly; the full run takes the Floquet path.  Its samples
+    # RWA is closed-form; the full run takes the Floquet path.  Its samples
     # stay in the first period, so every pass-2 probe is the initial state
     # and no powering order differs between the grids.
     period = 2 * np.pi / lg01_beam.omega
