@@ -146,8 +146,16 @@ def integrate(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total,
                 theta = ((sample_times[isample:done] - t) / h).reshape(
                     (-1,) + (1,) * (out.ndim - 1))
                 rest = 1.0 - theta
-                out[isample:done] = cont[0] + theta * (cont[1] + rest * (
-                    cont[2] + theta * (cont[3] + rest * cont[4])))
+                # cont[0] + theta * (cont[1] + rest * (cont[2] + theta *
+                # (cont[3] + rest * cont[4]))), evaluated in place, so that
+                # many samples in one step need no temporaries of their size
+                seg = out[isample:done]
+                np.multiply(rest, cont[4], out=seg)
+                for factor, term in ((theta, cont[3]), (rest, cont[2]),
+                                     (theta, cont[1])):
+                    seg += term
+                    seg *= factor
+                seg += cont[0]
                 isample = done
             t = t + h
             y = y_new

@@ -5,8 +5,12 @@ Evolution runs in the interaction picture: the state is expanded on the ring
 eigenfunctions including their energy phases, so the equations of motion
 contain only the coupling beats (differences of drive and transition
 frequencies), never the bare optical carrier.  ``evolve`` assembles the
-coupling term list once and either solves it in closed form (RWA) or hands
-the stepping to the kernel in ``_kernels`` (full mode).
+coupling term list once (for the RWA only the slow terms), finds its
+coupled level sets and keeps the levels of those the initial state touches:
+no term links them to any other level, so every path below runs on those
+levels alone and the others stay exactly 0.  It then either solves the
+terms in closed form (RWA) or hands the stepping to the kernel in
+``_kernels`` (full mode).
 
 RWA runs are not stepped.  Every kept beat is a difference
 theta_r - theta_c of a level "potential" theta, so in the frame
@@ -17,12 +21,12 @@ exactly (``_evolve_rwa``); ``tol`` does not set their accuracy and
 
 Full (non-RWA) runs that span many drive periods still carry the carrier in
 their beats, but the lab-frame Hamiltonian repeats exactly with the drive
-period.  Those runs step one period to get the Floquet monodromy, reach each
-sample's period by powering it, and step once more within a period for the
-sample phases (``_evolve_floquet``), so their cost no longer grows with the
-number of carrier cycles.  Short full runs step directly.  The kernel
-interpolates every sample within its step, so the number of samples does
-not set the number of steps.
+period.  Those runs step the propagator over one period once, recording it
+at every sample phase and at the period's end, and reach each sample's
+period by powering the Floquet monodromy (``_evolve_floquet``), so their
+cost no longer grows with the number of carrier cycles.  Short full runs
+step directly.  The kernel interpolates every sample within its step, so
+the number of samples does not set the number of steps.
 A ``Trajectory`` keeps the samples as one (n_samples, dim) amplitude array.
 """
 
@@ -37,7 +41,8 @@ from .beam import BeamDrive, azimuthal_component
 from .constants import COOPER_CHARGE, HBAR
 from .coupling import drive_products, matrix_element_terms
 from .errors import NotTwoLevel
-from .ring import DEFAULT_N_MAX, RingParams, level_angular_frequency
+from .ring import (DEFAULT_N_MAX, RingParams, level_angular_frequency,
+                   transition_angular_frequency)
 
 _SUPPORT_TOL = 1e-12
 _ROTATION_POINTS = 100  # angles at which pattern rigidity is checked
@@ -48,6 +53,7 @@ TOL_RANGE = (1e-13, 1e-6)
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 201
 _RWA_BLOCK = 256    # samples per block of the closed-form RWA product
+_RECORD_BYTES = 16 * 2 ** 20    # bytes of samples one Floquet kernel call keeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,17 +136,35 @@ class Trajectory:
         return self.populations[:, n + n_max]
 
 
-def _build_term_arrays(drive, params, n_max):
-    windings = {k for k, _, _ in drive_products(drive)}
+def _build_term_arrays(drive, params, n_max, rwa=False):
+    """The coupling terms of H_I as arrays (rows, cols, camps, nus).
+
+    With ``rwa`` only the terms the RWA keeps, those beating slower than a
+    tenth of the drive frequency; a pair no drive product can give such a
+    beat is not expanded at all.
+    """
+    signs = {}      # winding change -> total time signs of its products
+    for k, s, _ in drive_products(drive):
+        signs.setdefault(k, set()).add(s)
+    cutoff = drive.omega / 10.0
     rows, cols, camps, nus = [], [], [], []
     for m in range(-n_max, n_max + 1):
         for n in range(-n_max, n_max + 1):
-            if m - n in windings:   # no other pair has a term
-                for term in matrix_element_terms(m, n, drive, params, n_max=n_max):
-                    rows.append(m + n_max)
-                    cols.append(n + n_max)
-                    camps.append(-1j * term.amplitude / HBAR)
-                    nus.append(term.beat)
+            if m - n not in signs:      # no other pair has a term
+                continue
+            if rwa:
+                # the beat expression of ``matrix_element_terms``
+                omega_mn = transition_angular_frequency(m, n, params)
+                if not any(abs(omega_mn - s * drive.omega) < cutoff
+                           for s in signs[m - n]):
+                    continue
+            for term in matrix_element_terms(m, n, drive, params, n_max=n_max):
+                if rwa and not abs(term.beat) < cutoff:
+                    continue
+                rows.append(m + n_max)
+                cols.append(n + n_max)
+                camps.append(-1j * term.amplitude / HBAR)
+                nus.append(term.beat)
     return (np.asarray(rows, dtype=np.int64),
             np.asarray(cols, dtype=np.int64),
             np.asarray(camps, dtype=np.complex128),
@@ -150,14 +174,21 @@ def _build_term_arrays(drive, params, n_max):
 def floquet_min_periods(n_max: int) -> float:
     """Shortest full-mode run, in drive periods, that takes the Floquet path.
 
-    The Floquet passes step every basis column, and high windings beat fast,
-    so a period of them costs about n_max^2 / 8 periods of direct stepping
-    from a low level.  Measured for n_max 4 to 32 at tol 1e-6 and 1e-9, the
-    two paths cost about the same at half this threshold (ratio 0.6 to 1.4)
-    and Floquet is 1.4 to 2.5 times faster at the threshold itself: the
-    threshold is kept conservative, about twice the break-even run length.
+    The Floquet pass steps a propagator of the reached levels over one
+    period, and high windings beat fast, so it costs about as much as
+    n_max^2 / 16 periods of direct stepping.  Measured run lengths at which
+    the two paths cost the same (5 samples, bundled design, tol 1e-6 / 1e-9):
+
+        n_max                      4          8          16         32
+        from |0>               2.4 / 2.5  5.8 / 6.9  15.5 / 15.9  44 / 31
+        from 0.8|0> + 0.6|1>   2.5 / 2.9  7.1 / 6.3  21.1 / 20.7  86 / 98
+        this threshold             3          6          18         66
+
+    A state with both parities steps all 2 n_max + 1 levels, one from |0>
+    only the n_max + 1 even ones under an OAM-1 drive, hence the wider
+    spread at large n_max; the threshold lies within it.
     """
-    return 8.0 + n_max * n_max / 8.0
+    return 2.0 + n_max * n_max / 16.0
 
 
 def _split_periods(times, t0, period):
@@ -177,8 +208,29 @@ def _split_periods(times, t0, period):
     return [int(v) for v in whole], tau
 
 
+def _chunk_bounds(phase_of, dim):
+    """Bounds [0, held, ..., n] of the chunks of the n phase-sorted samples.
+
+    ``phase_of`` numbers the distinct phases of the sorted samples.  Pass 1
+    keeps one dim x dim propagator per distinct phase of the first ``held``
+    samples, one per later chunk start and one at T; each later chunk's
+    probe pass keeps one dim-vector per sample.  Both stay within
+    ``_RECORD_BYTES``, except that pass 1 always keeps at least two
+    propagators and a probe pass takes as many samples as leaving the first
+    chunk empty would need.
+    """
+    n = phase_of.size
+    matrices = max(2, _RECORD_BYTES // (16 * dim * dim))
+    vectors = max(_RECORD_BYTES // (16 * dim), -(-n // (matrices - 1)))
+    take = np.arange(n + 1)                     # samples pass 1 may take
+    kept = np.concatenate(([0], phase_of + 1))  # their distinct phases
+    later = -(-(n - take) // vectors)           # chunks for the rest
+    held = int(take[kept + later + 1 <= matrices][-1])
+    return [0, *range(held, n, vectors), n]
+
+
 def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
-    """Amplitudes at ``times`` from stepping one drive period twice.
+    """Amplitudes at ``times`` from stepping one drive period once.
 
     The lab-frame Hamiltonian repeats with the drive period T.  With
     D(t) = diag(exp(-i omega_n t)) the interaction-picture propagator obeys
@@ -186,21 +238,38 @@ def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
         U_I(t0 + mT + tau, t0) = D(mT)^* U_I(t0 + tau, t0) P^m,
         P = D(T) U_I(t0 + T, t0)          (the monodromy).
 
-    Pass 1 steps the identity over one period to get P.  Each sample splits
-    as t_k = t0 + m_k T + tau_k and w_k = P^{m_k} c0 follows by binary
-    powering in order of m_k.  Pass 2 steps the identity again up to the
-    largest tau_k and keeps only the vector U_I(tau_k) w_k of each sample,
-    interpolated within its step.  The error budget per unit time stays that
-    of the whole run.
+    Each sample splits as t_k = t0 + m_k T + tau_k.  One pass steps the
+    identity over one period and records U_I(tau) at every distinct sample
+    phase and U_I(T) at its end, read from the kernel's dense output at no
+    extra right-hand-side call.  P follows from the last record,
+    w_k = P^{m_k} c0 by binary powering in order of m_k, and sample k is
+    D(m_k T)^* U_I(tau_k) w_k.  The error budget per unit time stays that of
+    the whole run.  The caller passes only the levels the initial state
+    reaches, so the identity is as small as those.
+
+    The records stay within ``_RECORD_BYTES`` (``_chunk_bounds``).  Phases
+    past what fits go in later chunks: pass 1 records U_I only at the first
+    phase of each, and one probe pass per chunk steps on from there carrying
+    the vectors U_I(tau_k) w_k alone.
     """
     dim = c0.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
-    u_period, steps = _kernels.integrate(eye, t0, np.array([t0 + period]),
-                                         *terms, tol, t_total)
-    powers = [np.exp(-1j * omega_levels * period)[:, None] * u_period[0]]
-
     whole, tau = _split_periods(times, t0, period)
-    w = np.empty((times.size, dim), dtype=np.complex128)
+    order = np.argsort(tau, kind="stable")
+    ranked = tau[order]
+    fresh = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    phase_of = np.cumsum(fresh) - 1
+    bounds = _chunk_bounds(phase_of, dim)
+    held = bounds[1]
+    kept = phase_of[held - 1] + 1 if held else 0
+    marks = np.concatenate((ranked[:held][fresh[:held]], ranked[bounds[1:-1]],
+                            [period]))
+    records, n_steps = _kernels.integrate(np.eye(dim, dtype=np.complex128),
+                                          t0, t0 + marks, *terms, tol, t_total)
+    powers = [np.exp(-1j * omega_levels * period)[:, None] * records[-1]]
+
+    rank = np.empty(times.size, dtype=np.int64)
+    rank[order] = np.arange(times.size)
+    out = np.empty((times.size, dim), dtype=np.complex128)
     state, done = c0, 0
     for k, m in enumerate(whole):
         rest, bit = m - done, 0
@@ -211,30 +280,30 @@ def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
                 state = powers[bit] @ state
             rest >>= 1
             bit += 1
-        w[k], done = state, m
+        done = m
+        # U_I(tau_k) w_k where pass 1 kept U_I(tau_k), else w_k for a probe
+        out[k] = (records[phase_of[rank[k]]] @ state if rank[k] < held
+                  else state)
 
-    order = np.argsort(tau, kind="stable")
-    sampled, more = _kernels.integrate(eye, t0, t0 + tau[order], *terms, tol,
-                                       t_total, w[order])
-    out = np.empty_like(sampled)
-    out[order] = sampled
-    frame = np.exp(1j * np.outer(np.array(whole, dtype=float) * period,
-                                 omega_levels))
-    return frame * out, steps + more
+    for chunk, (start, stop) in enumerate(zip(bounds[1:-1], bounds[2:])):
+        probed = order[start:stop]
+        out[probed], more = _kernels.integrate(
+            records[kept + chunk], t0 + ranked[start], t0 + ranked[start:stop],
+            *terms, tol, t_total, out[probed])
+        n_steps += more
+    out *= np.exp(1j * np.outer(np.array(whole, dtype=float) * period,
+                                omega_levels))
+    return out, n_steps
 
 
-def _rwa_frame(dim, rows, cols, nus, omega):
-    """Level potentials theta and the coupled level sets of RWA terms.
+def _level_sets(dim, rows, cols, nus):
+    """The coupled level sets of the terms and a level potential theta.
 
-    A breadth-first walk over the terms sets theta = 0 at the first level of
-    each set and theta_r = theta_c + nu along every term (r, c, nu).
-    Returns ``(theta, sets)``, or None when some term misses
-    theta_r - theta_c = nu by more than the rounding of the at most ``dim``
-    beats, each of size ``omega``, summed into a theta.  A true mismatch is
-    a whole multiple of ``omega`` around a cycle, which takes at least 11
-    kept terms of |nu| < omega / 10.
+    A breadth-first walk over the terms (r, c, nu) sets theta = 0 at the
+    first level of each set and theta_r = theta_c + nu along the walk.
+    Returns ``(theta, sets)``.  Only the RWA reads theta, and only where it
+    fits every term (``_frame_fits``).
     """
-    slack = 8.0 * dim * np.finfo(np.float64).eps * omega
     neighbours = [[] for _ in range(dim)]
     for r, c, nu in zip(rows.tolist(), cols.tolist(), nus.tolist()):
         neighbours[c].append((r, nu))
@@ -248,35 +317,37 @@ def _rwa_frame(dim, rows, cols, nus, omega):
         members = [root]
         for level in members:       # grows while it is walked
             for other, nu in neighbours[level]:
-                want = theta[level] + nu
                 if theta[other] is None:
-                    theta[other] = want
+                    theta[other] = theta[level] + nu
                     members.append(other)
-                elif abs(theta[other] - want) > slack:
-                    return None
         sets.append(members)
     return np.array(theta), sets
 
 
-def _evolve_rwa(c0, t0, times, rows, cols, camps, nus, omega):
+def _frame_fits(theta, rows, cols, nus, omega):
+    """Whether theta_r - theta_c = nu holds for every term (r, c, nu).
+
+    The slack is the rounding of the at most ``theta.size`` beats, each of
+    size ``omega``, summed into a theta.  A true mismatch is a whole
+    multiple of ``omega`` around a cycle, which takes at least 11 kept RWA
+    terms of |nu| < omega / 10.
+    """
+    slack = 8.0 * theta.size * np.finfo(np.float64).eps * omega
+    return bool(np.all(np.abs(theta[rows] - theta[cols] - nus) <= slack))
+
+
+def _evolve_rwa(c0, t0, times, rows, cols, camps, nus, theta, sets):
     """Amplitudes at ``times`` under the kept RWA terms, in closed form.
 
-    With nu_j = theta_r - theta_c for every term, c_n = exp(i theta_n t) b_n
-    turns the equations into db/dt = G b with the constant
-    G = A - i diag(theta), A the terms' ``camps`` as a matrix.  Each coupled
-    level set is diagonalised on its own, i G = V diag(lam) V^+, so V is
-    block-diagonal and levels the initial state cannot reach stay exactly 0:
+    With nu_j = theta_r - theta_c for every term (``_frame_fits``),
+    c_n = exp(i theta_n t) b_n turns the equations into db/dt = G b with the
+    constant G = A - i diag(theta), A the terms' ``camps`` as a matrix.  Each
+    coupled level set is diagonalised on its own, i G = V diag(lam) V^+, so V
+    is block-diagonal:
 
         c(t_k) = exp(i theta t_k) * V exp(-i lam (t_k - t0)) V^+ exp(-i theta t0) c0.
-
-    Returns None when no theta fits the terms (see ``_rwa_frame``).
     """
     dim = c0.shape[0]
-    frame = _rwa_frame(dim, rows, cols, nus, omega)
-    if frame is None:
-        return None
-    theta, sets = frame
-
     generator = np.diag(theta).astype(np.complex128)      # i G
     np.add.at(generator, (rows, cols), 1j * camps)
     lam = np.empty(dim)
@@ -314,6 +385,9 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
            sample_times: Optional[Sequence[float]] = None,
            n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Integrate the driven state over a duration ``t_final``.
+
+    Only the levels that some chain of coupling terms links to the initial
+    state's support are solved for; every other amplitude is exactly 0.
 
     Parameters
     ----------
@@ -370,28 +444,42 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
         if times[0] < t0 or times[-1] > t0 + t_final * (1.0 + 1e-12):
             raise ValueError("sample_times must lie within the run span")
 
-    harmonic = azimuthal_component(drive)
-    rows, cols, camps, nus = _build_term_arrays(harmonic, params,
-                                                initial.n_max)
-    if mode == "rwa":
-        keep = np.abs(nus) < drive.omega / 10.0
-        rows, cols, camps, nus = rows[keep], cols[keep], camps[keep], nus[keep]
-    terms = (rows, cols, camps, nus)
-
+    rwa = mode == "rwa"
+    dim = 2 * initial.n_max + 1
+    rows, cols, camps, nus = _build_term_arrays(azimuthal_component(drive),
+                                                params, initial.n_max, rwa)
+    theta, sets = _level_sets(dim, rows, cols, nus)
+    # only the level sets the initial state touches move: the run is solved
+    # on their levels alone, and every other level stays exactly 0
     amps0 = np.asarray(initial.amplitudes, dtype=np.complex128)
+    sets = [members for members in sets if np.any(amps0[members])]
+    reached = np.array(sorted(i for members in sets for i in members))
+    index = np.full(dim, -1)
+    index[reached] = np.arange(reached.size)
+    keep = index[rows] >= 0
+    rows, cols = index[rows[keep]], index[cols[keep]]
+    camps, nus = camps[keep], nus[keep]
+    terms = (rows, cols, camps, nus)
+    c0, theta = amps0[reached], theta[reached]
+
+    t0 = float(t0)
     period = 2.0 * math.pi / drive.omega
-    out, n_steps = None, 0
-    if mode == "rwa":
-        out = _evolve_rwa(amps0, float(t0), times, *terms, drive.omega)
-    elif t_final >= floquet_min_periods(initial.n_max) * period:
-        omega_levels = np.array([level_angular_frequency(n, params)
-                                 for n in range(-initial.n_max, initial.n_max + 1)])
-        out, n_steps = _evolve_floquet(amps0, float(t0), times, terms,
-                                       float(tol), float(t_final), period,
-                                       omega_levels)
-    if out is None:
-        out, n_steps = _kernels.integrate(amps0, float(t0), times, *terms,
-                                          float(tol), float(t_final))
+    n_steps = 0
+    if rwa and _frame_fits(theta, rows, cols, nus, drive.omega):
+        sub = _evolve_rwa(c0, t0, times, *terms, theta,
+                          [index[members].tolist() for members in sets])
+    elif not rwa and t_final >= floquet_min_periods(initial.n_max) * period:
+        omega_levels = level_angular_frequency(reached - initial.n_max, params)
+        sub, n_steps = _evolve_floquet(c0, t0, times, terms, float(tol),
+                                       float(t_final), period, omega_levels)
+    else:
+        sub, n_steps = _kernels.integrate(c0, t0, times, *terms, float(tol),
+                                          float(t_final))
+    if reached.size == dim:
+        out = sub
+    else:
+        out = np.zeros((times.size, dim), dtype=np.complex128)
+        out[:, reached] = sub
 
     traj = Trajectory(times=times, amplitudes=out, n_steps=n_steps)
     drift = np.abs(traj.norms - 1.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -293,12 +294,16 @@ def test_catalog_frequencies_zero_the_matching_beat(chain_params, w20):
 
 
 def test_term_arrays_match_all_pairs(swept_elements, chain_params):
-    # evolve's term table skips the pairs no drive product reaches; it must
-    # equal the table built from every pair, bit for bit
-    for drive, n_max, elements in swept_elements:
+    # evolve's term table skips the pairs no drive product reaches, and for
+    # the RWA the pairs with no slow beat; it must equal the table built
+    # from every pair, filtered to |beat| < omega / 10 for the RWA, bit for bit
+    for (drive, n_max, elements), rwa in itertools.product(swept_elements,
+                                                            (False, True)):
         rows, cols, camps, nus = [], [], [], []
         for m, n, terms in elements:
             for term in terms:
+                if rwa and not abs(term.beat) < drive.omega / 10.0:
+                    continue
                 rows.append(m + n_max)
                 cols.append(n + n_max)
                 camps.append(-1j * term.amplitude / HBAR)
@@ -307,7 +312,7 @@ def test_term_arrays_match_all_pairs(swept_elements, chain_params):
                 np.asarray(cols, dtype=np.int64),
                 np.asarray(camps, dtype=np.complex128),
                 np.asarray(nus, dtype=np.float64))
-        got = _build_term_arrays(drive, chain_params, n_max)
+        got = _build_term_arrays(drive, chain_params, n_max, rwa)
         for g, w in zip(got, want):
             assert (g.dtype, g.shape) == (w.dtype, w.shape)
             assert g.tobytes() == w.tobytes()

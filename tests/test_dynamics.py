@@ -12,9 +12,9 @@ from oamring.beam import (POLARIZATIONS, BeamDrive, IntensityConvention,
 from oamring.constants import COOPER_CHARGE
 from oamring.coupling import rabi_frequency
 from oamring.dynamics import (StateVector, Trajectory, _build_term_arrays,
-                              _rwa_frame, _split_periods, density_profile,
-                              dipole_moment, evolve, floquet_min_periods,
-                              pattern_rotation_check)
+                              _frame_fits, _level_sets, _split_periods,
+                              density_profile, dipole_moment, evolve,
+                              floquet_min_periods, pattern_rotation_check)
 from oamring.errors import NotTwoLevel, StepSizeUnderflow
 from oamring.ring import transition_angular_frequency
 
@@ -405,8 +405,9 @@ def test_rwa_inconsistent_frame_falls_back_to_stepping(monkeypatch,
     camps = np.full(6, -1e-3j * omega)          # a Hermitian coupling
     nus = np.array([nu, nu, nu, -nu, -nu, -nu])
     consistent = np.array([nu, nu, -2 * nu, -nu, -nu, 2 * nu])
-    assert _rwa_frame(3, rows, cols, consistent, omega) is not None
-    assert _rwa_frame(3, rows, cols, nus, omega) is None
+    for beats, fits in ((consistent, True), (nus, False)):
+        theta, _ = _level_sets(3, rows, cols, beats)
+        assert _frame_fits(theta, rows, cols, beats, omega) is fits
 
     terms = (rows, cols, camps, nus)
     monkeypatch.setattr(dynamics, "_build_term_arrays", lambda *args: terms)
@@ -440,9 +441,8 @@ def test_rwa_frame_is_consistent_property(chain_params, oam_index,
                      POLARIZATIONS[polarization]())
     rows, cols, _, nus = _rwa_terms(beam, chain_params, n_max)
     dim = 2 * n_max + 1
-    frame = _rwa_frame(dim, rows, cols, nus, omega)
-    assert frame is not None
-    theta, sets = frame
+    theta, sets = _level_sets(dim, rows, cols, nus)
+    assert _frame_fits(theta, rows, cols, nus, omega)
     np.testing.assert_allclose(theta[rows] - theta[cols], nus, rtol=0,
                                atol=1e-12 * omega)
     assert sorted(i for members in sets for i in members) == list(range(dim))
@@ -462,7 +462,7 @@ def test_path_choice_follows_run_shape(monkeypatch, chain_params, lg01_beam):
     period = 2 * np.pi / lg01_beam.omega
     initial = StateVector.from_levels({0: 1.0}, n_max=4)
     shortest = floquet_min_periods(4) * period
-    for mode, t_final, ranks in [("full", shortest, [2, 2]),
+    for mode, t_final, ranks in [("full", shortest, [2]),
                                  ("full", 0.9 * shortest, [1]),
                                  ("rwa", shortest, [])]:
         state_ranks.clear()
@@ -471,12 +471,68 @@ def test_path_choice_follows_run_shape(monkeypatch, chain_params, lg01_beam):
         assert state_ranks == ranks, mode
 
 
+@pytest.mark.parametrize("share", [0.5, 1.0])   # direct, then Floquet
+def test_full_run_steps_only_the_reached_levels(monkeypatch, chain_params,
+                                                lg01_beam, share):
+    # an OAM-1 drive changes the winding by 0, +-2 or +-4, so from |0> only
+    # the n_max + 1 even levels are stepped and the odd ones stay exactly 0
+    stepped = []
+    real = _kernels.integrate
+
+    def spy(c0, *args):
+        stepped.append(np.shape(c0)[0])
+        return real(c0, *args)
+
+    monkeypatch.setattr(_kernels, "integrate", spy)
+    n_max = 8
+    period = 2 * np.pi / lg01_beam.omega
+    initial = StateVector.from_levels({0: 1.0}, n_max=n_max)
+    traj = evolve(initial, lg01_beam, chain_params,
+                  share * floquet_min_periods(n_max) * period, tol=1e-6,
+                  mode="full", n_samples=7)
+    assert stepped == [n_max + 1]
+    assert np.all(traj.amplitudes[:, 1::2] == 0.0)      # odd windings
+    assert np.all(traj.amplitudes[-1, ::2] != 0.0)
+
+
+def test_floquet_chunks_match_one_pass(monkeypatch, chain_params, lg01_beam):
+    # a budget of ten propagators of the 9 levels splits 201 samples into
+    # chunks: pass 1 keeps the first few and each later chunk is a probe
+    # pass that starts from a propagator pass 1 recorded
+    n_max = 4
+    period = 2 * np.pi / lg01_beam.omega
+    initial = StateVector.from_levels({0: 0.8, 1: 0.6j}, n_max=n_max)
+    t_final = 40.3 * period
+
+    def run():
+        return evolve(initial, lg01_beam, chain_params, t_final, tol=1e-9,
+                      mode="full", n_samples=201).amplitudes
+
+    one_pass = run()
+    budget = 10 * 16 * (2 * n_max + 1) ** 2
+    recorded = []
+    real = _kernels.integrate
+
+    def spy(*args):
+        out, n_steps = real(*args)
+        recorded.append(out.nbytes)
+        return out, n_steps
+
+    monkeypatch.setattr(dynamics, "_RECORD_BYTES", budget)
+    monkeypatch.setattr(_kernels, "integrate", spy)
+    chunked = run()
+    assert len(recorded) >= 3
+    assert max(recorded) <= budget
+    assert np.max(np.abs(chunked - one_pass)) < 1e-10
+
+
 @pytest.mark.parametrize("mode", ["rwa", "full"])
 def test_sample_grid_does_not_steer_the_steps(chain_params, lg01_beam,
                                               rabi_period, mode):
     # RWA is closed-form; the full run takes the Floquet path.  Its samples
-    # stay in the first period, so every pass-2 probe is the initial state
-    # and no powering order differs between the grids.
+    # stay in the first period, so every sample is the recorded propagator
+    # times the initial state and no powering order differs between the
+    # grids.
     period = 2 * np.pi / lg01_beam.omega
     t_final = (0.3 * rabi_period if mode == "rwa"
                else floquet_min_periods(4) * period)
@@ -506,6 +562,26 @@ def test_floquet_period_boundary_samples(chain_params, lg01_beam):
         states.append(traj.amplitudes[2])
     np.testing.assert_array_equal(states[0], states[1])
     np.testing.assert_array_equal(states[2], states[1])
+
+
+def test_floquet_records_each_phase_once(monkeypatch, chain_params,
+                                        lg01_beam):
+    # samples on whole periods all have phase 0, so pass 1 keeps the
+    # propagator there and at T only, not one per sample
+    shapes = []
+    real = _kernels.integrate
+
+    def spy(*args):
+        out, n_steps = real(*args)
+        shapes.append(out.shape)
+        return out, n_steps
+
+    monkeypatch.setattr(_kernels, "integrate", spy)
+    period = 2 * np.pi / lg01_beam.omega
+    initial = StateVector.from_levels({0: 1.0}, n_max=4)
+    evolve(initial, lg01_beam, chain_params, 40 * period, tol=1e-6,
+           mode="full", sample_times=period * np.arange(41))
+    assert shapes == [(2, 5, 5)]
 
 
 def test_split_periods_exact_at_huge_counts():

@@ -1,5 +1,7 @@
 """Direct checks of the stepping kernel against analytic solutions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,23 @@ def test_probes_record_matrix_times_vector():
         expected = np.einsum("kij,kj->ki",
                              two_level_propagator(omega, samples), probes)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
+
+
+def test_samples_in_one_step_need_no_temporaries():
+    # 4001 propagator samples inside the first step: the interpolation
+    # writes into the output, with no temporaries of the output's size
+    omega = 2 * np.pi * 1e9
+    args, _ = two_level_problem(omega, 3e-9, 2)
+    samples = np.linspace(0.0, 1e-15, 4001)
+    tracemalloc.start()
+    try:
+        out, n_steps = integrate(np.eye(8, dtype=complex), 0.0, samples,
+                                 *args[3:], 1e-11, 3e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_steps == 1
+    assert peak < 1.5 * out.nbytes
 
 
 def test_close_samples_keep_the_step_size():
