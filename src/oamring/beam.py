@@ -10,7 +10,8 @@ supercurrent; projecting the Jones vector onto phi_hat gives
 so the physical drive is a short sum of azimuthal harmonics
 exp(-i(k phi + s omega t)) with windings k = l -/+ 1 and their conjugate
 partners.  All radial/longitudinal beam structure is folded into the single
-complex amplitude A0 evaluated at the ring radius.
+complex amplitude A0 evaluated at the ring radius.  ``fields.evaluate_A_phi``
+reconstructs the field from these harmonics on arrays of phi.
 """
 
 import math
@@ -18,13 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
-import numpy as np
-
 from .constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
-from .errors import NonRealField
 
 _JONES_NORM_TOL = 1e-12
-_REALITY_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -162,39 +159,3 @@ def azimuthal_component(beam: BeamDrive) -> HarmonicDrive:
         terms.append(HarmonicTerm(k, amp, +1))
         terms.append(HarmonicTerm(-k, amp.conjugate(), -1))
     return HarmonicDrive(terms=tuple(terms), omega=beam.omega)
-
-
-def _harmonic_sum(drive: HarmonicDrive, phi, t: float, derivative: bool, dtype):
-    phi = np.asarray(phi, dtype=np.zeros(0, dtype=dtype).real.dtype)
-    total = np.zeros(phi.shape, dtype=dtype)
-    omega_t = phi.dtype.type(drive.omega) * phi.dtype.type(t)
-    for term in drive.terms:
-        amp = dtype(term.amplitude)
-        if derivative:
-            amp = amp * dtype(-1j * term.winding)
-        total += amp * np.exp(-1j * (term.winding * phi + term.time_sign * omega_t))
-    return total
-
-
-def evaluate_A_phi(drive: HarmonicDrive, phi, t: float, dtype=complex):
-    """Reconstruct the real field A_phi(phi, t) from its harmonic terms.
-
-    ``phi`` may be scalar or array.  Raises NonRealField if the imaginary
-    residue exceeds 1e-14 of the field scale (i.e. the terms are not properly
-    conjugate-paired).  ``dtype`` can be widened (e.g. np.clongdouble) when
-    the caller needs reference-grade accuracy.
-    """
-    total = _harmonic_sum(drive, phi, t, derivative=False, dtype=dtype)
-    scale = sum(abs(term.amplitude) for term in drive.terms)
-    residue = float(np.max(np.abs(total.imag))) if total.size else 0.0
-    if residue > _REALITY_TOL * max(scale, 1e-300):
-        raise NonRealField(
-            f"imaginary residue {residue:.3e} exceeds tolerance for scale {scale:.3e}")
-    real = total.real
-    return real[()] if real.ndim == 0 else real
-
-
-def evaluate_A_phi_derivative(drive: HarmonicDrive, phi, t: float, dtype=complex):
-    """d/dphi of the reconstructed field, evaluated analytically per harmonic."""
-    real = _harmonic_sum(drive, phi, t, derivative=True, dtype=dtype).real
-    return real[()] if real.ndim == 0 else real

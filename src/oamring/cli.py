@@ -12,24 +12,47 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .beam import azimuthal_component
-from .config import dumps_config, load_bundled_config, load_config
+from .config import (DEFAULT_SAMPLES, MODES, dumps_config, load_bundled_config,
+                     load_config)
 from .constants import SPEED_OF_LIGHT
 from .coupling import rabi_frequency, resonance_catalog
-from .dynamics import (DEFAULT_SAMPLES, MODES, StateVector, dipole_moment,
-                       evolve)
 from .errors import ConfigError, OamRingError
 from .ring import (level_energy, level_supercurrent,
                    transition_angular_frequency)
-from .twoqubit import controlled_phase, cz_fidelity, cz_gate_time
+from .twoqubit import controlled_phase, cz_gate_time
 from .workbench import (FeasibilityReport, ResolvedModel,
                         build_feasibility_report, resolve)
 
 SCHEMA = "oamring.report/1"
+
+# Names only rabi, dynamics and czgate use, with the module that defines
+# each.  They load on first use, so the other commands, --help and config
+# errors run without numpy.
+_LAZY = {"np": "numpy",
+         "StateVector": "oamring.dynamics", "evolve": "oamring.dynamics",
+         "dipole_moment": "oamring.dynamics", "cz_fidelity": "oamring.czgate"}
+
+
+def __getattr__(name):
+    """Load a name of ``_LAZY`` and keep it in the module globals.
+
+    The commands read these names through ``_cli``, so a name replaced on
+    this module (``oamring.cli.evolve = ...``) is the one they call, loaded
+    or not.
+    """
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(_LAZY[name])
+    value = module if name == "np" else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 @dataclass
@@ -186,9 +209,9 @@ def cmd_selection(model: ResolvedModel, args) -> CommandResult:
 
 
 def cmd_rabi(model: ResolvedModel, args) -> CommandResult:
-    scales = np.geomspace(_scale(args.min_scale, "--min-scale"),
-                          _scale(args.max_scale, "--max-scale"),
-                          _at_least(args.points, 1, "--points"))
+    scales = _cli.np.geomspace(_scale(args.min_scale, "--min-scale"),
+                               _scale(args.max_scale, "--max-scale"),
+                               _at_least(args.points, 1, "--points"))
     rows = []
     for s in scales:
         a0 = model.a0_magnitude * math.sqrt(s)
@@ -206,14 +229,14 @@ def cmd_dynamics(model: ResolvedModel, args) -> CommandResult:
     sim = model.config.simulation
     t_final = args.t_final if args.t_final is not None else sim.t_final
     mode = args.mode if args.mode is not None else sim.mode
-    initial = StateVector.from_levels({0: 1.0}, n_max=sim.n_max)
-    traj = evolve(initial, model.drive, model.params, t_final,
-                  tol=sim.tol, mode=mode, n_samples=args.samples)
+    initial = _cli.StateVector.from_levels({0: 1.0}, n_max=sim.n_max)
+    traj = _cli.evolve(initial, model.drive, model.params, t_final,
+                       tol=sim.tol, mode=mode, n_samples=args.samples)
     shown = [n for n in range(-4, 5) if abs(n) <= sim.n_max]
-    dip = dipole_moment(traj, model.params, traj.times)
-    rows = np.column_stack([
+    dip = _cli.dipole_moment(traj, model.params, traj.times)
+    rows = _cli.np.column_stack([
         traj.times, traj.populations[:, [n + sim.n_max for n in shown]],
-        traj.norms, np.hypot(dip[:, 0], dip[:, 1])]).tolist()
+        traj.norms, _cli.np.hypot(dip[:, 0], dip[:, 1])]).tolist()
     columns = ([("t", "s")] + [(f"P_{n}", "") for n in shown]
                + [("norm", ""), ("dipole", "C*m")])
     meta = {"mode": mode, "tol": repr(sim.tol), "n_max": str(sim.n_max)}
@@ -228,11 +251,12 @@ def cmd_czgate(model: ResolvedModel, args) -> CommandResult:
     if not 0.0 <= t_total < math.inf:
         raise ValueError(
             f"--t-total must be a non-negative finite number, got {t_total}")
-    times = np.linspace(0.0, t_total, _at_least(args.samples, 1, "--samples"))
+    times = _cli.np.linspace(0.0, t_total,
+                             _at_least(args.samples, 1, "--samples"))
     rows = []
     for t in times:
         rows.append([float(t), controlled_phase(float(t), two_ring),
-                     cz_fidelity(two_ring, float(t))])
+                     _cli.cz_fidelity(two_ring, float(t))])
     columns = [("t", "s"), ("phi_cp", "rad"), ("fidelity_cz", "")]
     meta = {"t_CZ": repr(t_cz), "mutual": repr(two_ring.mutual)}
     return CommandResult("czgate", columns, rows, meta)

@@ -15,7 +15,6 @@ from importlib import resources
 from typing import Dict, Optional
 
 from .beam import POLARIZATIONS, IntensityConvention
-from .dynamics import DEFAULT_TOL, MODES, TOL_RANGE
 from .errors import MissingSection, ParseError, UnknownKey, ValidationError
 from .ring import DEFAULT_N_MAX, EffectiveRadiusRule, Material, RingDesign
 
@@ -45,6 +44,12 @@ _PHASE_UNITS = {"rad": 1.0, "deg": math.pi / 180.0}
 _DIMENSIONLESS: Dict[str, float] = {}
 
 N_MAX_RANGE = (1, 64)
+# [simulation] modes, tol range and default, and the default sample count of
+# a run; ``dynamics`` and the CLI read them from here
+MODES = ("full", "rwa")
+TOL_RANGE = (1e-13, 1e-6)
+DEFAULT_TOL = 1e-9
+DEFAULT_SAMPLES = 201
 
 
 def parse_quantity(raw: str, units: Dict[str, float], field: str) -> float:

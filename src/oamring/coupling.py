@@ -12,25 +12,21 @@ Between winding states the linear piece connects n -> n + k for each drive
 harmonic k and the quadratic piece connects n -> n + k1 + k2 for each ordered
 pair of harmonics.  ``drive_products`` alone lists those products; the matrix
 elements, ``selection_rules`` and ``resonance_catalog`` all read it.
-``matrix_element_terms`` performs the contraction in closed form;
+``matrix_element_terms`` performs the contraction in closed form, with
+scalar arithmetic only.  The array side lives in ``fields``:
+``evaluate_matrix_element`` sums the terms at a time, and
 ``matrix_element_quadrature_oracle`` evaluates the same bracket by direct
 integration over phi and is the ground truth the closed form is tested
-against (overall phases are convention-laden, the oracle is not).
+against.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, List, Set, Tuple
 
-import numpy as np
-
-from .beam import HarmonicDrive, evaluate_A_phi, evaluate_A_phi_derivative
+from .beam import HarmonicDrive
 from .constants import COOPER_CHARGE, COOPER_MASS, HBAR
 from .errors import TruncationExceeded
-from .ring import (DEFAULT_N_MAX, RingParams, level_angular_frequency,
-                   transition_angular_frequency)
-
-ORACLE_POINTS = 512
+from .ring import DEFAULT_N_MAX, RingParams, transition_angular_frequency
 
 
 @dataclass(frozen=True)
@@ -114,67 +110,6 @@ def matrix_element_terms(m: int, n: int, drive: HarmonicDrive,
         beat = omega_mn - s_total * drive.omega
         out.append(MatrixElementTerm(amplitude=amp, beat=beat, order=order))
     return out
-
-
-def evaluate_matrix_element(terms: List[MatrixElementTerm], t: float) -> complex:
-    """Reconstruct the time-dependent element sum(amplitude * exp(i beat t))."""
-    return sum((term.amplitude * np.exp(1j * term.beat * t) for term in terms),
-               start=0.0 + 0.0j)
-
-
-_CDT = np.clongdouble
-_RDT = np.zeros(0, dtype=_CDT).real.dtype
-_PI_EXT = np.arccos(_RDT.type(-1.0))
-_PHI_GRID = (np.arange(ORACLE_POINTS, dtype=_RDT)
-             * (2 * _PI_EXT / _RDT.type(ORACLE_POINTS)))
-_PHI_GRID.setflags(write=False)
-
-
-@lru_cache(maxsize=64)
-def _winding_phase(k: int):
-    out = np.exp(1j * k * _PHI_GRID)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=128)
-def _drive_fields(drive: HarmonicDrive, t: float):
-    a_phi = evaluate_A_phi(drive, _PHI_GRID, t, dtype=_CDT)
-    da_phi = evaluate_A_phi_derivative(drive, _PHI_GRID, t, dtype=_CDT)
-    a_sq = a_phi * a_phi
-    for arr in (a_phi, da_phi, a_sq):
-        arr.setflags(write=False)
-    return a_phi, da_phi, a_sq
-
-
-def matrix_element_quadrature_oracle(m: int, n: int, drive: HarmonicDrive,
-                                     params: RingParams, t: float,
-                                     n_max: int = DEFAULT_N_MAX) -> complex:
-    """<m|H_I|n> by direct quadrature of the defining integral.
-
-    The drive field and its phi-derivative are evaluated in closed form (no
-    finite differencing); the phi-integral uses the periodic trapezoidal
-    rule, which is exact for trigonometric polynomials of bandwidth below
-    ``ORACLE_POINTS``.  Internally runs at extended precision so that tiny
-    elements sitting under large cancelling harmonics are still resolved.
-    """
-    _check_truncation(m, n, n_max)
-    a_phi, da_phi, a_sq = _drive_fields(drive, float(t))
-
-    lin_coeff = (1j * _CDT(HBAR) * _CDT(COOPER_CHARGE)
-                 / (2.0 * _CDT(COOPER_MASS) * _CDT(params.design.radius))
-                 * (_CDT(params.L_K) / _CDT(params.L_T)))
-    quad_coeff = _CDT(COOPER_CHARGE) ** 2 / (2.0 * _CDT(COOPER_MASS))
-
-    # (d/dphi A + A d/dphi) acting on exp(-i n phi) = dA - 2 i n A, times exp(-i n phi)
-    bracket = lin_coeff * (da_phi - 2j * n * a_phi) + quad_coeff * a_sq
-    integrand = _winding_phase(m - n) * bracket
-    integral = integrand.sum() * (2 * _PI_EXT / _RDT.type(ORACLE_POINTS))
-
-    omega_m = level_angular_frequency(m, params)
-    omega_n = level_angular_frequency(n, params)
-    phase = np.exp(1j * (_RDT.type(omega_m) - _RDT.type(omega_n)) * _RDT.type(t))
-    return complex((_CDT(params.n_pairs) / (2 * _PI_EXT)) * integral * phase)
 
 
 def selection_rules(drive: HarmonicDrive) -> Set[Tuple[int, int]]:

@@ -38,6 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .beam import BeamDrive, azimuthal_component
+from .config import DEFAULT_SAMPLES, DEFAULT_TOL, MODES, TOL_RANGE
 from .constants import COOPER_CHARGE, HBAR
 from .coupling import drive_products, matrix_element_terms
 from .errors import NotTwoLevel
@@ -48,10 +49,6 @@ _SUPPORT_TOL = 1e-12
 _ROTATION_POINTS = 100  # angles at which pattern rigidity is checked
 _ROTATION_RTOL = 1e-10  # rigidity tolerance, relative to the pattern scale
 NORM_TOL = 1e-9     # accepted deviation of sum |c_n|^2 from 1
-MODES = ("full", "rwa")
-TOL_RANGE = (1e-13, 1e-6)
-DEFAULT_TOL = 1e-9
-DEFAULT_SAMPLES = 201
 _RWA_BLOCK = 256    # samples per block of the closed-form RWA product
 _RECORD_BYTES = 16 * 2 ** 20    # bytes of samples one Floquet kernel call keeps
 

@@ -7,16 +7,15 @@ supercurrent states to integer winding numbers n with energies
     E_n = (n Phi_0)^2 / (2 L_T),        L_T = L_S + L_K,
 
 where L_S is the geometric self-inductance and L_K the kinetic inductance of
-the Cooper-pair fluid.  Everything here is a pure function of frozen value
-objects.
+the Cooper-pair fluid.  Everything here is a pure scalar function of frozen
+value objects; ``fields.ring_wavefunction`` evaluates the eigenfunctions on
+arrays of the ring angle.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
-
-import numpy as np
 
 from .constants import (COOPER_CHARGE, COOPER_MASS, FLUX_QUANTUM, HBAR,
                         VACUUM_PERMEABILITY)
@@ -197,16 +196,3 @@ def transition_angular_frequency(n: int, m: int, params: RingParams) -> float:
 def level_supercurrent(n: int, params: RingParams) -> float:
     """Circulating supercurrent n Phi_0 / L_T of winding state n, in A."""
     return n * FLUX_QUANTUM / params.L_T
-
-
-def ring_wavefunction(n: int, params: RingParams, phi, t: float):
-    """Macroscopic eigenfunction sqrt(N*/2pi) exp(-i (n phi + omega_n t)).
-
-    ``phi`` may be a scalar or an array; returns complex values of the same
-    shape.  The modulus squared integrates over [0, 2pi) to the total pair
-    count.
-    """
-    omega_n = level_angular_frequency(n, params)
-    phase = np.asarray(n * np.asarray(phi, dtype=float) + omega_n * t)
-    out = np.sqrt(params.n_pairs / (2.0 * math.pi)) * np.exp(-1j * phase)
-    return complex(out) if out.ndim == 0 else out

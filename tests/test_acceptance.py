@@ -11,16 +11,16 @@ from oamring.beam import BeamDrive, Polarization, azimuthal_component
 from oamring.cli import run
 from oamring.constants import (COOPER_CHARGE, COOPER_MASS, SPEED_OF_LIGHT,
                                VACUUM_PERMEABILITY)
-from oamring.coupling import (evaluate_matrix_element,
-                              matrix_element_quadrature_oracle,
-                              matrix_element_terms, rabi_frequency,
+from oamring.coupling import (matrix_element_terms, rabi_frequency,
                               selection_rules)
+from oamring.czgate import TwoQubitState, evolve_two_qubit, phase_vector
 from oamring.dynamics import (StateVector, dipole_moment, evolve,
                               pattern_rotation_check)
+from oamring.fields import (evaluate_matrix_element,
+                            matrix_element_quadrature_oracle)
 from oamring.ring import transition_angular_frequency
-from oamring.twoqubit import (TwoQubitState, TwoRingConfig, cz_gate_time,
-                              evolve_two_qubit, mutual_inductance_coaxial,
-                              phase_vector)
+from oamring.twoqubit import (TwoRingConfig, cz_gate_time,
+                              mutual_inductance_coaxial)
 
 from conftest import PUBLISHED_A0, PUBLISHED_L_K, PUBLISHED_L_S, RING_SEPARATION
 

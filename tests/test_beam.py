@@ -5,9 +5,9 @@ import pytest
 
 from oamring.beam import (BeamDrive, HarmonicDrive, HarmonicTerm,
                           IntensityConvention, Polarization,
-                          amplitude_from_intensity, azimuthal_component,
-                          evaluate_A_phi, evaluate_A_phi_derivative)
+                          amplitude_from_intensity, azimuthal_component)
 from oamring.errors import NonRealField
+from oamring.fields import evaluate_A_phi, evaluate_A_phi_derivative
 
 from conftest import PUBLISHED_A0, PUBLISHED_INTENSITY
 

@@ -1,13 +1,18 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
+import oamring
+from oamring import cli
 from oamring.cli import main, run
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 
 MINIMAL = """
@@ -57,6 +62,13 @@ def test_report_matches_golden_json(command):
     code, text = run(["--format", "json", command])
     assert code == 0
     assert text == GOLDEN.joinpath(f"{command}_paper_design.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "selection", "rabi"])
+def test_report_matches_golden_table(command):
+    code, text = run([command])
+    assert code == 0
+    assert text == GOLDEN.joinpath(f"{command}_paper_design.txt").read_text()
 
 
 def test_selection_initial_outside_basis_is_usage_error():
@@ -273,6 +285,16 @@ def test_help_is_returned_with_exit_zero(capsys, argv):
     assert capsys.readouterr().out == text
 
 
+def _fresh_python(script):
+    """Stdout of ``script`` run by a new interpreter that imports src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_rwa_dynamics_imports_no_scipy():
     # the closed-form RWA path needs numpy alone; importing scipy would add
     # to every cold start
@@ -280,13 +302,97 @@ def test_rwa_dynamics_imports_no_scipy():
               "from oamring.cli import run\n"
               "code, _ = run(['dynamics', '--mode', 'rwa', '--samples', '50'])\n"
               "print(code, 'scipy' in sys.modules)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False"]
+    assert _fresh_python(script).split() == ["0", "False"]
+
+
+def test_scalar_commands_import_no_numpy(tmp_path):
+    # feasibility, spectrum, selection, --help and config or usage errors
+    # compute nothing with arrays, and numpy is most of a cold start
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(MINIMAL.replace("tol = 1e-9", "tol = 1e-3"),
+                   encoding="utf-8")
+    script = f"""
+import sys
+import oamring, oamring.cli, oamring.config, oamring.workbench
+import oamring.ring, oamring.beam, oamring.coupling, oamring.twoqubit
+from oamring.cli import run
+
+def check(argv, code):
+    assert run(argv)[0] == code, argv
+    assert 'numpy' not in sys.modules, argv
+
+check([], 1)
+for command in ('feasibility', 'spectrum', 'selection'):
+    for fmt in ('table', 'json', 'csv'):
+        check(['--format', fmt, command], 0)
+check(['--config', {str(bad)!r}, 'feasibility'], 1)
+check(['spectrum', '--n-levels', 'x'], 1)
+check(['--help'], 0)
+assert run(['rabi'])[0] == 0
+print('numpy' in sys.modules)
+"""
+    assert _fresh_python(script).split() == ["True"]
+
+
+def test_package_names_load_lazily_from_their_modules(monkeypatch):
+    for name in [*oamring._LAZY, *oamring._SUBMODULES]:
+        monkeypatch.delitem(vars(oamring), name, raising=False)
+    listed = dir(oamring)
+    names = {name: getattr(oamring, name) for name in oamring.__all__}
+    for name, value in names.items():
+        if callable(value):
+            assert value.__module__.startswith("oamring."), name
+            assert getattr(import_module(value.__module__), name) is value
+    assert {name for name, value in names.items() if not callable(value)} \
+        == {"DEFAULT_N_MAX", "__version__"}
+    assert names["DEFAULT_N_MAX"] is oamring.ring.DEFAULT_N_MAX
+
+    star = {}
+    exec("from oamring import *", star)
+    assert all(star[name] is value for name, value in names.items())
+    assert set(names) <= set(listed)
+    assert {"dynamics", "_kernels", "fields", "czgate"} <= set(listed)
+    for name in listed:
+        getattr(oamring, name)
+    for module in (oamring, cli):
+        with pytest.raises(AttributeError):
+            module.no_such_name
+
+
+def _tracer_hooks():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.HOOKS
+
+
+def test_tracer_hooks_resolve_on_the_cli(monkeypatch):
+    # the benchmark's tracer replaces these names on oamring.cli, where the
+    # commands look them up; each must be the library function itself
+    for name in cli._LAZY:
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    targets = [attr for module, attr, _ in _tracer_hooks()
+               if module == "oamring.cli"]
+    assert {"evolve", "dipole_moment", "cz_fidelity"} <= set(targets)
+    for attr in targets:
+        fn = getattr(cli, attr)
+        assert fn.__module__.startswith("oamring."), attr
+        assert getattr(import_module(fn.__module__), fn.__name__) is fn
+
+
+def test_patched_evolve_is_the_one_dynamics_calls(monkeypatch):
+    monkeypatch.delitem(vars(cli), "evolve", raising=False)
+    real, calls = cli.evolve, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", spy)
+    code, _ = run(["dynamics", "--samples", "5"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_czgate_reaches_unit_fidelity():

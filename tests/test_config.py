@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from oamring import config as config_module
 from oamring.beam import POLARIZATIONS, IntensityConvention
-from oamring.config import (N_MAX_RANGE, BeamSettings, Conventions,
-                            DesignConfig, SimulationSettings, dumps_config,
+from oamring.config import (DEFAULT_TOL, MODES, N_MAX_RANGE, TOL_RANGE,
+                            BeamSettings, Conventions, DesignConfig,
+                            SimulationSettings, dumps_config,
                             load_bundled_config, load_config, loads_config,
                             parse_quantity)
-from oamring.dynamics import DEFAULT_TOL, MODES, TOL_RANGE
 from oamring.errors import (MissingSection, ParseError, UnknownKey,
                             ValidationError)
 from oamring.ring import DEFAULT_N_MAX, EffectiveRadiusRule, Material, RingDesign

@@ -7,12 +7,12 @@ import pytest
 from oamring import beam
 from oamring.beam import BeamDrive, Polarization, azimuthal_component
 from oamring.constants import COOPER_CHARGE, COOPER_MASS, HBAR
-from oamring.coupling import (evaluate_matrix_element,
-                              matrix_element_quadrature_oracle,
-                              matrix_element_terms, rabi_frequency,
+from oamring.coupling import (matrix_element_terms, rabi_frequency,
                               resonance_catalog, selection_rules)
 from oamring.dynamics import _build_term_arrays
 from oamring.errors import TruncationExceeded
+from oamring.fields import (evaluate_matrix_element,
+                            matrix_element_quadrature_oracle)
 from oamring.ring import transition_angular_frequency
 
 from conftest import PUBLISHED_A0

@@ -7,10 +7,10 @@ from oamring import constants
 from oamring.constants import (COOPER_CHARGE, COOPER_MASS, FLUX_QUANTUM, HBAR,
                                SPEED_OF_LIGHT, VACUUM_PERMEABILITY)
 from oamring.errors import NonPositiveLog
+from oamring.fields import ring_wavefunction
 from oamring.ring import (Material, RingDesign, RingParams, derive_ring_params,
                           kinetic_inductance, level_energy, level_supercurrent,
-                          ring_wavefunction, self_inductance,
-                          transition_angular_frequency)
+                          self_inductance, transition_angular_frequency)
 
 from conftest import PUBLISHED_L_K, PUBLISHED_L_S
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from oamring.constants import FLUX_QUANTUM, HBAR, VACUUM_PERMEABILITY
+from oamring.czgate import (TwoQubitState, cz_fidelity, entangling_phase,
+                            evolve_two_qubit, phase_vector)
 from oamring.ring import level_energy
-from oamring.twoqubit import (TwoQubitState, TwoRingConfig, controlled_phase,
-                              cz_fidelity, cz_gate_time, entangling_phase,
-                              evolve_two_qubit, interaction_energy,
-                              mutual_inductance_coaxial, phase_vector)
+from oamring.twoqubit import (TwoRingConfig, controlled_phase, cz_gate_time,
+                              interaction_energy, mutual_inductance_coaxial)
 
 from conftest import RING_SEPARATION
 
