@@ -29,9 +29,9 @@ from .workbench import (FeasibilityReport, ResolvedModel,
 
 SCHEMA = "oamring.report/1"
 
-# Names only rabi, dynamics and czgate use, with the module that defines
-# each.  They load on first use, so the other commands, --help and config
-# errors run without numpy.
+# Names only dynamics and czgate use, with the module that defines each.
+# They load on first use, so the other commands, --help and config errors
+# run without numpy.
 _LAZY = {"np": "numpy",
          "StateVector": "oamring.dynamics", "evolve": "oamring.dynamics",
          "dipole_moment": "oamring.dynamics", "cz_fidelity": "oamring.czgate"}
@@ -167,6 +167,17 @@ def _scale(value: float, flag: str) -> float:
     return value
 
 
+def _geomspace(start: float, stop: float, num: int) -> List[float]:
+    """``numpy.geomspace`` of positive floats on libm, clamped to its ends."""
+    if num == 1:
+        return [start]
+    la, lb = math.log10(start), math.log10(stop)
+    step = (lb - la) / (num - 1)
+    lo, hi = min(start, stop), max(start, stop)
+    return [start, *(min(max(10.0 ** (k * step + la), lo), hi)
+                     for k in range(1, num - 1)), stop]
+
+
 def cmd_feasibility(model: ResolvedModel, args) -> CommandResult:
     report = build_feasibility_report(model)
     return CommandResult("feasibility", [], [], {}, feasibility=report)
@@ -209,16 +220,16 @@ def cmd_selection(model: ResolvedModel, args) -> CommandResult:
 
 
 def cmd_rabi(model: ResolvedModel, args) -> CommandResult:
-    scales = _cli.np.geomspace(_scale(args.min_scale, "--min-scale"),
-                               _scale(args.max_scale, "--max-scale"),
-                               _at_least(args.points, 1, "--points"))
+    scales = _geomspace(_scale(args.min_scale, "--min-scale"),
+                        _scale(args.max_scale, "--max-scale"),
+                        _at_least(args.points, 1, "--points"))
     rows = []
     for s in scales:
         a0 = model.a0_magnitude * math.sqrt(s)
         omega = rabi_frequency(model.params, a0)
         intensity = (model.config.beam.intensity * s
                      if model.config.beam.intensity is not None else None)
-        rows.append([float(s), intensity, a0, omega, omega / (2e9 * math.pi)])
+        rows.append([s, intensity, a0, omega, omega / (2e9 * math.pi)])
     columns = [("intensity_scale", ""), ("intensity", "W/m^2"),
                ("A0", "kg*m/(s^2*A)"), ("Omega", "rad/s"),
                ("Omega_cyclic", "GHz")]

@@ -1,12 +1,17 @@
+import decimal
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from importlib import import_module
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oamring
 from oamring import cli
@@ -14,6 +19,7 @@ from oamring.cli import main, run
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
+SCALES = st.floats(1e-6, 1e6)
 
 MINIMAL = """
 [ring]
@@ -285,9 +291,9 @@ def test_help_is_returned_with_exit_zero(capsys, argv):
     assert capsys.readouterr().out == text
 
 
-def _fresh_python(script):
+def _fresh_python(script, env=os.environ):
     """Stdout of ``script`` run by a new interpreter that imports src/."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(env, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -306,8 +312,8 @@ def test_rwa_dynamics_imports_no_scipy():
 
 
 def test_scalar_commands_import_no_numpy(tmp_path):
-    # feasibility, spectrum, selection, --help and config or usage errors
-    # compute nothing with arrays, and numpy is most of a cold start
+    # feasibility, spectrum, selection, rabi, --help and config or usage
+    # errors compute nothing with arrays, and numpy is most of a cold start
     bad = tmp_path / "bad.cfg"
     bad.write_text(MINIMAL.replace("tol = 1e-9", "tol = 1e-3"),
                    encoding="utf-8")
@@ -322,16 +328,77 @@ def check(argv, code):
     assert 'numpy' not in sys.modules, argv
 
 check([], 1)
-for command in ('feasibility', 'spectrum', 'selection'):
+for command in ('feasibility', 'spectrum', 'selection', 'rabi'):
     for fmt in ('table', 'json', 'csv'):
         check(['--format', fmt, command], 0)
+check(['rabi', '--points', '1'], 0)
+check(['rabi', '--min-scale', '10', '--max-scale', '0.1'], 0)
+check(['rabi', '--min-scale', '2', '--max-scale', '2'], 0)
 check(['--config', {str(bad)!r}, 'feasibility'], 1)
 check(['spectrum', '--n-levels', 'x'], 1)
 check(['--help'], 0)
-assert run(['rabi'])[0] == 0
+assert run(['czgate'])[0] == 0
 print('numpy' in sys.modules)
 """
     assert _fresh_python(script).split() == ["True"]
+
+
+@st.composite
+def scale_sweeps(draw):
+    """(min, max, points) with the scales in either order, equal or a few
+    ulp apart, where rounding could carry a point past an endpoint."""
+    start = draw(SCALES)
+    stop = draw(st.one_of(SCALES, st.just(start), st.integers(-4, 4).map(
+        lambda ulps: start * (1.0 + ulps * sys.float_info.epsilon))))
+    return start, stop, draw(st.integers(1, 60))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(scale_sweeps())
+def test_rabi_grid_is_geometric_between_its_ends(sweep):
+    start, stop, num = sweep
+    grid = cli._geomspace(start, stop, num)
+    assert len(grid) == num
+    assert grid[0] == start and grid[-1] == (stop if num > 1 else start)
+    assert grid == sorted(grid, reverse=start > stop)
+    # log10 of an end is rounded to a few ulp of itself, and pow turns that
+    # absolute error into a relative one, so the bound grows with |log10|
+    bound = 8 * sys.float_info.epsilon * (
+        1 + max(abs(math.log10(start)), abs(math.log10(stop))))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, b = Decimal(start), Decimal(stop)
+        for k, point in enumerate(grid):
+            exact = a * (b / a) ** (Decimal(k) / max(num - 1, 1))
+            assert abs(Decimal(point) / exact - 1) <= bound, (k, point)
+
+
+def test_rabi_grid_is_numpy_geomspace_on_libm():
+    # numpy's geomspace computes the same formula, but with its AVX-512
+    # log10 and power loops it differs from libm in the last bits; with
+    # those loops off the two agree bit for bit, once numpy's points are
+    # clamped to the endpoints as the grid's are
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    above = (__cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1:]
+             if "X86_V3" in __cpu_dispatch__ else [])
+    script = """
+import random
+import numpy as np
+from oamring.cli import _geomspace
+
+rng = random.Random(13)
+for _ in range(2000):
+    start = 10.0 ** rng.uniform(-6, 6)
+    stop = rng.choice([10.0 ** rng.uniform(-6, 6), start,
+                       start * (1.0 + rng.randint(-4, 4) * 2.0 ** -52)])
+    lo, hi = min(start, stop), max(start, stop)
+    num = rng.randint(1, 60)
+    ref = [min(max(p, lo), hi) for p in np.geomspace(start, stop, num).tolist()]
+    assert _geomspace(start, stop, num) == ref, (start, stop, num)
+print('ok')
+"""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(above))
+    assert _fresh_python(script, env).split() == ["ok"]
 
 
 def test_package_names_load_lazily_from_their_modules(monkeypatch):
