@@ -1,23 +1,21 @@
 """Adaptive Runge-Kutta kernel for the interaction-picture state equations.
 
-The right-hand side is a sparse sum of oscillating couplings,
+The state C is one amplitude vector of shape (dim,) or a matrix of shape
+(dim, k) whose columns are stepped together, such as a propagator started
+from the identity.  Its right-hand side is dC/dt = H(t) C with the dense
+coupling matrix
 
-    dc[r]/dt = sum_j camp[j] * exp(i * nu[j] * t) * c[col[j]],
+    H(t)[r, c] = sum of camp[j] exp(i nu[j] t) over the terms j at (r, c),
 
-with the -i/hbar factor folded into ``camp``.  A Dormand-Prince 5(4) pair
-does the stepping; the local error target scales with the step (error per
-unit step), which keeps the accumulated norm drift of a whole run at the
-order of the requested tolerance rather than tolerance-per-step times the
-step count.  Samples are read from the pair's continuous extension inside
-each accepted step, so the step sequence never depends on the sample times,
-only on where the last one lies.
-
-The state is either one amplitude vector of shape (dim,) or a matrix of
-shape (dim, k) whose columns are stepped together, such as a propagator
-started from the identity.  A vector state scatters the terms straight into
-the derivative; a matrix state assembles the dense coupling matrix H(t) once
-per stage and multiplies.  The error norm is the root mean square over every
-entry of the state either way.
+the -i/hbar factor folded into ``camp``.  Each stage sums every entry's
+terms with one ``reduceat`` and multiplies.  A Dormand-Prince 5(4) pair does
+the stepping; the local error, the root mean square over every entry of the
+state, is held to a target that scales with the step (error per unit step),
+which keeps the accumulated norm drift of a whole run at the order of the
+requested tolerance rather than tolerance-per-step times the step count.
+Samples are read from the pair's continuous extension inside each accepted
+step, so the step sequence never depends on the sample times, only on where
+the last one lies.
 
 A run that cannot go on raises ``StepSizeUnderflow``, naming the time it
 reached, the step size and the error ratio of the last attempted step.
@@ -51,16 +49,7 @@ _D5, _D6, _D7 = (701980252875.0 / 199316789632.0, -1453857185.0 / 822651844.0,
 MAX_STEPS = 50_000_000
 
 
-def _vector_rhs(dim, rows, cols, camps, nus):
-    def rhs(t, c):
-        dc = np.zeros(dim, dtype=np.complex128)
-        if camps.shape[0]:
-            np.add.at(dc, rows, camps * np.exp(1j * nus * t) * c[cols])
-        return dc
-    return rhs
-
-
-def _matrix_rhs(dim, rows, cols, camps, nus):
+def _rhs(dim, rows, cols, camps, nus):
     # terms sorted by matrix entry, so each entry's sum is one reduceat run
     flat = rows * dim + cols
     order = np.argsort(flat, kind="stable")
@@ -92,8 +81,7 @@ def integrate(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total,
     c0 = np.asarray(c0, dtype=np.complex128)
     dim = c0.shape[0]
     n_samples = sample_times.shape[0]
-    make_rhs = _vector_rhs if c0.ndim == 1 else _matrix_rhs
-    rhs = make_rhs(dim, rows, cols, camps, nus)
+    rhs = _rhs(dim, rows, cols, camps, nus)
     shape = c0.shape if probes is None else (dim,)
     out = np.zeros((n_samples,) + shape, dtype=np.complex128)
 

@@ -149,7 +149,8 @@ def _render_json(result: CommandResult) -> str:
     else:
         payload["columns"] = [{"name": n, "unit": u} for n, u in result.columns]
         payload["rows"] = result.rows
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 _RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
@@ -244,7 +245,9 @@ def cmd_dynamics(model: ResolvedModel, args) -> CommandResult:
     traj = _cli.evolve(initial, model.drive, model.params, t_final,
                        tol=sim.tol, mode=mode, n_samples=args.samples)
     shown = [n for n in range(-4, 5) if abs(n) <= sim.n_max]
-    dip = _cli.dipole_moment(traj, model.params, traj.times)
+    with _cli.np.errstate(over="ignore", invalid="ignore"):
+        # a phase past the float range makes the dipole nan; the report shows it
+        dip = _cli.dipole_moment(traj, model.params, traj.times)
     rows = _cli.np.column_stack([
         traj.times, traj.populations[:, [n + sim.n_max for n in shown]],
         traj.norms, _cli.np.hypot(dip[:, 0], dip[:, 1])]).tolist()
@@ -380,7 +383,11 @@ def run(argv: Optional[Sequence[str]] = None) -> Tuple[int, str]:
         return 1, f"error: {exc}\n"
     except OamRingError as exc:
         return 2, f"error: {exc}\n"
-    text = _RENDERERS[args.format](result)
+    try:
+        text = _RENDERERS[args.format](result)
+    except ValueError:      # json met an inf or nan, which it cannot hold
+        return 2, ("error: the report holds a number that is not finite, "
+                   "which JSON cannot carry; --format table or csv prints it\n")
     if args.out:
         return _write(args.out, text)
     return 0, text

@@ -177,13 +177,13 @@ def floquet_min_periods(n_max: int) -> float:
     the two paths cost the same (5 samples, bundled design, tol 1e-6 / 1e-9):
 
         n_max                      4          8          16         32
-        from |0>               2.4 / 2.5  5.8 / 6.9  15.5 / 15.9  44 / 31
-        from 0.8|0> + 0.6|1>   2.5 / 2.9  7.1 / 6.3  21.1 / 20.7  86 / 98
+        from |0>               2.4 / 2.5  5.3 / 6.0  16.6 / 14.7  49 / 50
+        from 0.8|0> + 0.6|1>   2.8 / 2.4  6.4 / 6.1  22.5 / 16.3  72 / 69
         this threshold             3          6          18         66
 
     A state with both parities steps all 2 n_max + 1 levels, one from |0>
     only the n_max + 1 even ones under an OAM-1 drive, hence the wider
-    spread at large n_max; the threshold lies within it.
+    spread at large n_max; the threshold lies within it for n_max >= 8.
     """
     return 2.0 + n_max * n_max / 16.0
 
@@ -411,7 +411,8 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
     Raises
     ------
     ValueError
-        If ``t_final`` or a sample time is not finite, before any stepping.
+        If ``t_final``, its length in drive periods or a sample time is not
+        finite, before any stepping.
     StepSizeUnderflow
         If the controller cannot meet the tolerance with a representable
         step (stiff or ill-conditioned input).
@@ -422,6 +423,10 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
         raise ValueError("t_final must be positive")
     if not math.isfinite(t_final):
         raise ValueError("t_final must be finite")
+    period = 2.0 * math.pi / drive.omega
+    if not math.isfinite(t_final / period):
+        raise ValueError(f"t_final = {t_final!r} s is not a finite number of "
+                         f"drive periods ({period!r} s each)")
     if mode not in MODES:
         raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}")
 
@@ -460,7 +465,6 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
     c0, theta = amps0[reached], theta[reached]
 
     t0 = float(t0)
-    period = 2.0 * math.pi / drive.omega
     n_steps = 0
     if rwa and _frame_fits(theta, rows, cols, nus, drive.omega):
         sub = _evolve_rwa(c0, t0, times, *terms, theta,

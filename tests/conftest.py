@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from oamring.ring import Material, RingDesign, RingParams, derive_ring_params
+
+# every property test runs the same examples on every run, keeps no example
+# database and has no time limit per example; a test sets only its count
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
 
 # feasibility design point used throughout the tests
 RADIUS = 2e-6

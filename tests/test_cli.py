@@ -213,6 +213,32 @@ def test_dynamics_non_finite_t_final_is_usage_error(mode, t_final):
     assert text == "error: t_final must be finite\n"
 
 
+@pytest.mark.parametrize("mode, t_final", [("full", "1e294"),
+                                            ("rwa", "1e300")])
+def test_dynamics_t_final_past_float_periods_is_usage_error(mode, t_final):
+    # finite seconds, but the count of drive periods overflows to inf
+    code, text = run(["dynamics", "--mode", mode, "--t-final", t_final])
+    assert code == 1
+    assert text.startswith("error: t_final = ") and text.count("\n") == 1
+    assert "finite number of drive periods" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["czgate", "--t-total", "1e300"],                   # phi_cp is inf
+    ["rabi", "--min-scale", "1e308", "--max-scale", "1.7e308"],  # intensity
+    ["dynamics", "--t-final", "1e293"],                 # RWA, dipole is nan
+], ids=" ".join)
+def test_json_report_with_non_finite_number_is_numerical_error(argv):
+    code, text = run(["--format", "json", *argv])
+    assert code == 2
+    assert text.startswith("error: ") and text.count("\n") == 1
+    assert "not finite" in text
+    # table keeps printing the value as text
+    code, text = run(argv)
+    assert code == 0
+    assert "inf" in text or "nan" in text
+
+
 @pytest.mark.parametrize("t_total", ["nan", "inf", "-inf"])
 def test_czgate_non_finite_t_total_is_usage_error(t_total):
     code, text = run(["czgate", f"--t-total={t_total}", "--samples", "2"])
@@ -353,7 +379,7 @@ def scale_sweeps(draw):
     return start, stop, draw(st.integers(1, 60))
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(scale_sweeps())
 def test_rabi_grid_is_geometric_between_its_ends(sweep):
     start, stop, num = sweep

@@ -289,7 +289,7 @@ DESIGN_CONFIGS = st.builds(
     two_qubit_separation=st.none() | POSITIVE)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(DESIGN_CONFIGS, st.booleans())
 def test_dump_load_round_trip_property(config, omit_default_sections):
     text = dumps_config(config)
