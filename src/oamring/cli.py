@@ -29,12 +29,10 @@ from .workbench import (FeasibilityReport, ResolvedModel,
 
 SCHEMA = "oamring.report/1"
 
-# Names only dynamics and czgate use, with the module that defines each.
-# They load on first use, so the other commands, --help and config errors
-# run without numpy.
-_LAZY = {"np": "numpy",
-         "StateVector": "oamring.dynamics", "evolve": "oamring.dynamics",
-         "dipole_moment": "oamring.dynamics", "cz_fidelity": "oamring.czgate"}
+# Names only dynamics and czgate use.  They load on first use, numpy as
+# ``np`` and the others from the package (which knows where each lives), so
+# the other commands, --help and config errors run without numpy.
+_LAZY = ("np", "StateVector", "evolve", "dipole_moment", "cz_fidelity")
 
 
 def __getattr__(name):
@@ -46,8 +44,8 @@ def __getattr__(name):
     """
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(_LAZY[name])
-    value = module if name == "np" else getattr(module, name)
+    value = (import_module("numpy") if name == "np"
+             else getattr(import_module("oamring"), name))
     globals()[name] = value
     return value
 

@@ -4,7 +4,10 @@ The workbench is driven by one structured-text file (see
 ``docs/config-schema.md`` and the bundled ``paper-design`` config).  Values
 are either bare numbers in SI base units or ``<number> <unit>`` strings with
 a short whitelist of units per quantity kind.  Everything is converted to SI
-on load; unknown sections or keys are rejected.
+on load; unknown sections or keys are rejected.  Every key is read by
+``_read`` as its ``_KEYS`` entry says (a quantity with a sign rule, a choice
+or an integer); only the rules on a range or on more than one key are
+written out in ``loads_config``.
 """
 
 import configparser
@@ -127,30 +130,69 @@ _SCHEMA = {
               {f.name: f.default for f in fields(_FIELD_TYPES[attr])})
     for section, attr in _SECTIONS.items()}
 _REQUIRED_SECTIONS = ("ring", "material", "beam")
+# key -> (how its text is read, sign rule).  A unit table reads a quantity,
+# whose sign rule is "positive", "non-negative" or None (signed); a tuple of
+# names reads a choice; int reads an integer.
+_KEYS = {
+    "radius": (_LENGTH_UNITS, "positive"),
+    "width": (_LENGTH_UNITS, "positive"),
+    "depth": (_LENGTH_UNITS, "positive"),
+    "pair_density": (_DENSITY_UNITS, "positive"),
+    "london_depth": (_LENGTH_UNITS, "positive"),
+    "skin_depth": (_LENGTH_UNITS, "positive"),
+    "oam_index": (int, None),
+    "polarization": (tuple(POLARIZATIONS), None),
+    "phase": (_PHASE_UNITS, None),
+    "detuning": (_ANGULAR_FREQUENCY_UNITS, None),
+    "intensity": (_INTENSITY_UNITS, "non-negative"),
+    "amplitude": (_AMPLITUDE_UNITS, "non-negative"),
+    _SEPARATION_KEY: (_LENGTH_UNITS, "positive"),
+    "t_final": (_TIME_UNITS, "positive"),
+    "tol": (_DIMENSIONLESS, None),
+    "mode": (MODES, None),
+    "n_max": (int, None),
+    "intensity_convention": (tuple(c.value for c in IntensityConvention), None),
+    "effective_radius_rule": (tuple(r.value for r in EffectiveRadiusRule), None),
+    "explicit_radius": (_LENGTH_UNITS, "positive"),
+}
 
 
-def _positive(value: float, field: str) -> float:
-    if not value > 0.0:
+def _read(parser, section: str, key: str):
+    """One key's value (SI for a quantity), or its default when absent."""
+    field = f"{section}.{key}"
+    if not parser.has_option(section, key):
+        if _SCHEMA[section][key] is MISSING:
+            raise ValidationError(field, "required key missing")
+        return _SCHEMA[section][key]
+    raw = parser.get(section, key)
+    if not raw.strip():
+        raise ValidationError(field, "empty value")
+    kind, sign = _KEYS[key]
+    if kind is int:
+        try:
+            return int(raw.strip())
+        except ValueError:
+            raise ValidationError(field, f"not an integer: {raw!r}") from None
+    if isinstance(kind, tuple):
+        value = raw.strip().lower()
+        if value not in kind:
+            raise ValidationError(field, f"must be one of {', '.join(kind)}")
+        return value
+    value = parse_quantity(raw, kind, field)
+    if sign == "positive" and not value > 0.0:
         raise ValidationError(field, f"must be positive, got {value}")
+    if sign == "non-negative" and value < 0.0:
+        raise ValidationError(field, "must be non-negative")
     return value
-
-
-def _choice(value: str, allowed, field: str) -> str:
-    value = value.strip().lower()
-    if value not in allowed:
-        raise ValidationError(field, f"must be one of {', '.join(allowed)}")
-    return value
-
-
-def _int_field(raw: str, field: str) -> int:
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise ValidationError(field, f"not an integer: {raw!r}") from None
 
 
 def loads_config(text: str) -> DesignConfig:
-    """Parse and validate a config from a string."""
+    """Parse and validate a config from a string.
+
+    Keys are read in section-then-key order of ``_SCHEMA``, so the first
+    error reported is that of the first bad key; the rules on a range or on
+    more than one key are checked after every key has been read.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -167,77 +209,23 @@ def loads_config(text: str) -> DesignConfig:
         if not parser.has_section(section):
             raise MissingSection(f"config has no [{section}] section")
 
-    def get(section, key):
-        if not parser.has_section(section) or not parser.has_option(section, key):
-            return None
-        raw = parser.get(section, key)
-        if not raw.strip():
-            raise ValidationError(f"{section}.{key}", "empty value")
-        return raw
+    settings = {}
+    for section, attr in _SECTIONS.items():
+        if section == "two_qubit":
+            settings[attr] = (_read(parser, section, _SEPARATION_KEY)
+                              if parser.has_section(section) else None)
+            continue
+        values = {key: _read(parser, section, key) for key in _SCHEMA[section]}
+        try:
+            settings[attr] = _FIELD_TYPES[attr](**values)
+        except ValueError as exc:   # RingDesign and Material check themselves
+            raise ValidationError(section, str(exc)) from exc
+    config = DesignConfig(**settings)
 
-    def quantity(section, key, units):
-        raw = get(section, key)
-        if raw is not None:
-            return parse_quantity(raw, units, f"{section}.{key}")
-        if _SCHEMA[section][key] is MISSING:
-            raise ValidationError(f"{section}.{key}", "required key missing")
-        return _SCHEMA[section][key]
-
-    def positive(section, key, units):
-        value = quantity(section, key, units)
-        return None if value is None else _positive(value, f"{section}.{key}")
-
-    def choice(section, key, allowed):
-        raw = get(section, key)
-        return _choice(_SCHEMA[section][key] if raw is None else raw, allowed,
-                       f"{section}.{key}")
-
-    ring = {f.name: positive("ring", f.name, _LENGTH_UNITS)
-            for f in fields(RingDesign)}
-    separation = (positive("two_qubit", _SEPARATION_KEY, _LENGTH_UNITS)
-                  if parser.has_section("two_qubit") else None)
-    try:
-        design = RingDesign(**ring)
-    except ValueError as exc:
-        raise ValidationError("ring", str(exc)) from exc
-
-    try:
-        material = Material(
-            pair_density=positive("material", "pair_density", _DENSITY_UNITS),
-            london_depth=positive("material", "london_depth", _LENGTH_UNITS),
-            skin_depth=positive("material", "skin_depth", _LENGTH_UNITS))
-    except ValueError as exc:
-        raise ValidationError("material", str(exc)) from exc
-
-    raw_l = get("beam", "oam_index")
-    if raw_l is None:
-        raise ValidationError("beam.oam_index", "required key missing")
-    intensity = quantity("beam", "intensity", _INTENSITY_UNITS)
-    amplitude = quantity("beam", "amplitude", _AMPLITUDE_UNITS)
-    if (intensity is None) == (amplitude is None):
+    beam, sim, conv = config.beam, config.simulation, config.conventions
+    if (beam.intensity is None) == (beam.amplitude is None):
         raise ValidationError(
             "beam", "exactly one of 'intensity' or 'amplitude' must be set")
-    if intensity is not None and intensity < 0.0:
-        raise ValidationError("beam.intensity", "must be non-negative")
-    if amplitude is not None and amplitude < 0.0:
-        raise ValidationError("beam.amplitude", "must be non-negative")
-    beam = BeamSettings(
-        oam_index=_int_field(raw_l, "beam.oam_index"),
-        polarization=choice("beam", "polarization", POLARIZATIONS),
-        phase=quantity("beam", "phase", _PHASE_UNITS),
-        detuning=quantity("beam", "detuning", _ANGULAR_FREQUENCY_UNITS),
-        intensity=intensity,
-        amplitude=amplitude,
-    )
-
-    raw_n_max = get("simulation", "n_max")
-    sim = SimulationSettings(
-        t_final=positive("simulation", "t_final", _TIME_UNITS),
-        tol=quantity("simulation", "tol", _DIMENSIONLESS),
-        mode=choice("simulation", "mode", MODES),
-        n_max=(_SCHEMA["simulation"]["n_max"] if raw_n_max is None
-               else _int_field(raw_n_max, "simulation.n_max")),
-    )
     if not TOL_RANGE[0] <= sim.tol <= TOL_RANGE[1]:
         # the bounds as the docs write them: 1e-6, not 1e-06
         low, high = (f"{v:g}".replace("e-0", "e-") for v in TOL_RANGE)
@@ -245,25 +233,11 @@ def loads_config(text: str) -> DesignConfig:
     if not N_MAX_RANGE[0] <= sim.n_max <= N_MAX_RANGE[1]:
         raise ValidationError("simulation.n_max",
                               "must lie in [{}, {}]".format(*N_MAX_RANGE))
-
-    conv = Conventions(
-        intensity_convention=choice(
-            "conventions", "intensity_convention",
-            [c.value for c in IntensityConvention]),
-        effective_radius_rule=choice(
-            "conventions", "effective_radius_rule",
-            [r.value for r in EffectiveRadiusRule]),
-        explicit_radius=positive("conventions", "explicit_radius",
-                                 _LENGTH_UNITS),
-    )
     if (conv.effective_radius_rule == EffectiveRadiusRule.EXPLICIT.value
             and conv.explicit_radius is None):
         raise ValidationError("conventions.explicit_radius",
                               "required when effective_radius_rule = explicit")
-
-    return DesignConfig(
-        design=design, material=material, beam=beam, simulation=sim,
-        conventions=conv, two_qubit_separation=separation)
+    return config
 
 
 def load_config(path: str) -> DesignConfig:

@@ -80,18 +80,6 @@ class FeasibilityReport:
     checks: List[Check]
     conventions: List[str]
 
-    def quantity(self, name: str) -> Quantity:
-        for q in self.quantities:
-            if q.name == name:
-                return q
-        raise KeyError(name)
-
-    def check(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _penetration_status(skin_depth: float, depth: float) -> str:
     if skin_depth >= depth:

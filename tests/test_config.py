@@ -379,3 +379,128 @@ def test_tol_range_message_matches_doc():
     with pytest.raises(ValidationError) as info:
         loads_config(GOOD.replace("n_max = 8", "n_max = 65"))
     assert str(info.value) == "simulation.n_max: must lie in [1, 64]"
+
+
+# -- every key is read by one reader; errors name the key and follow the schema --
+
+INTEGER_KEYS = {"oam_index", "n_max"}
+CHOICE_KEYS = {"polarization", "mode", "intensity_convention",
+               "effective_radius_rule"}
+SIGNED_KEYS = {"phase", "detuning", "tol"}
+
+
+def _with_value(section, key, value):
+    """GOOD with ``key`` set to ``value`` (amplitude replaces intensity)."""
+    text = GOOD
+    if key == "amplitude":
+        text = text.replace("intensity = 6.6e-3 W/cm^2\n", "")
+    line = re.compile(rf"^{key} = .*$", flags=re.MULTILINE)
+    if line.search(text):
+        return line.sub(f"{key} = {value}", text)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+
+
+def _bad_values(key):
+    if key in INTEGER_KEYS:
+        return ["1.5"]
+    if key in CHOICE_KEYS:
+        return ["mystery"]
+    return ["x", "1 furlong"] + ([] if key in SIGNED_KEYS else ["-1"])
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (section, key, value)
+    for section, keys in config_module._SCHEMA.items() for key in keys
+    for value in _bad_values(key)])
+def test_single_key_error_names_its_key(section, key, value):
+    with pytest.raises(ValidationError) as info:
+        loads_config(_with_value(section, key, value))
+    assert info.value.field == f"{section}.{key}"
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("ring", "radius", "x", "not a number: 'x'"),
+    ("material", "pair_density", "1 furlong",
+     "unknown unit 'furlong'; accepted: /cm^3, /m^3, 1/cm^3, 1/m^3, cm^-3, "
+     "m^-3"),
+    ("simulation", "tol", "1 furlong",
+     "unknown unit 'furlong'; accepted: none (dimensionless)"),
+    ("ring", "width", "-1", "must be positive, got -1.0"),
+    ("beam", "intensity", "-1", "must be non-negative"),
+    ("simulation", "mode", "mystery", "must be one of full, rwa"),
+    ("beam", "oam_index", "1.5", "not an integer: '1.5'"),
+])
+def test_single_key_error_text(section, key, value, message):
+    with pytest.raises(ValidationError) as info:
+        loads_config(_with_value(section, key, value))
+    assert str(info.value) == f"{section}.{key}: {message}"
+
+
+def test_first_error_follows_schema_order():
+    text = GOOD.replace("oam_index = 1", "oam_index = x").replace(
+        "intensity = 6.6e-3 W/cm^2", "intensity = x")
+    with pytest.raises(ValidationError) as info:
+        loads_config(text)
+    assert info.value.field == "beam.oam_index"
+    # a bad key is reported before a rule on more than one key
+    text = GOOD.replace("polarization = linear-x", "amplitude = -1")
+    with pytest.raises(ValidationError) as info:
+        loads_config(text)
+    assert str(info.value) == "beam.amplitude: must be non-negative"
+
+
+def test_comment_after_a_value_is_part_of_the_value():
+    with pytest.raises(ValidationError, match="unknown unit 'ps  # run"):
+        loads_config(GOOD.replace("t_final = 27 ps",
+                                  "t_final = 27 ps  # run length"))
+    assert loads_config(GOOD.replace("t_final = 27 ps",
+                                     "# run length\nt_final = 27 ps")) \
+        == loads_config(GOOD)
+
+
+# doc name of each unit table -> the table it lists
+UNIT_TABLES = {
+    "length": config_module._LENGTH_UNITS,
+    "time": config_module._TIME_UNITS,
+    "intensity": config_module._INTENSITY_UNITS,
+    "density": config_module._DENSITY_UNITS,
+    "angular frequency": config_module._ANGULAR_FREQUENCY_UNITS,
+    "amplitude": config_module._AMPLITUDE_UNITS,
+    "phase": config_module._PHASE_UNITS,
+}
+
+
+def _doc_unit_tables():
+    """{kind: [units]} from the doc's "Unit tables" list."""
+    text = SCHEMA_DOC.read_text(encoding="utf-8")
+    block = text.split("## Unit tables", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^\* ([^:]+):(.*(?:\n  .*)*)", block, flags=re.MULTILINE)
+    return {kind: _ticked(units) for kind, units in items}
+
+
+def test_schema_doc_unit_tables_match_code():
+    listed = _doc_unit_tables()
+    assert list(listed) == list(UNIT_TABLES)
+    for kind, units in listed.items():
+        assert sorted(units) == sorted(UNIT_TABLES[kind]), kind
+
+    # each quantity's row names the kind of its unit table, and no other
+    tables = _doc_tables()
+    for section, keys in config_module._SCHEMA.items():
+        for key in keys:
+            units = config_module._KEYS[key][0]
+            if not isinstance(units, dict):
+                continue
+            row = " ".join(tables[section][key])
+            named = {kind for kind in UNIT_TABLES
+                     if re.search(rf"\b{kind}\b", row)}
+            expected = {kind for kind, table in UNIT_TABLES.items()
+                        if table is units}
+            assert named == expected, (section, key)
+
+
+def test_schema_doc_lists_keys_in_schema_order():
+    # the doc states that errors follow the order of its tables
+    assert [(section, list(keys)) for section, keys in _doc_tables().items()] \
+        == [(section, list(keys))
+            for section, keys in config_module._SCHEMA.items()]
