@@ -13,9 +13,9 @@ the stepping; the local error, the root mean square over every entry of the
 state, is held to a target that scales with the step (error per unit step),
 which keeps the accumulated norm drift of a whole run at the order of the
 requested tolerance rather than tolerance-per-step times the step count.
-Samples are read from the pair's continuous extension inside each accepted
-step, so the step sequence never depends on the sample times, only on where
-the last one lies.
+Each sample is the whole state at its time, read from the pair's continuous
+extension inside the accepted step that holds it, so the step sequence never
+depends on the sample times, only on where the last one lies.
 
 A run that cannot go on raises ``StepSizeUnderflow``, naming the time it
 reached, the step size and the error ratio of the last attempted step.
@@ -64,16 +64,14 @@ def _rhs(dim, rows, cols, camps, nus):
     return rhs
 
 
-def integrate(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total,
-              probes=None):
+def integrate(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total):
     """Step ``c0`` from ``t0`` past the last of the sorted ``sample_times``.
 
     Returns ``(out, n_steps)``.  ``out[i]`` is the state at
-    ``sample_times[i]``, interpolated within the step that holds it, or, when
-    ``probes`` (shape (n_samples, k)) is given for a matrix state, the vector
-    ``state @ probes[i]``, so that no per-sample matrix is kept.  ``t_total``
-    sets the error budget per unit time and the smallest admissible step;
-    pass the duration of the whole run the integration belongs to.
+    ``sample_times[i]``, of the shape of ``c0``, interpolated within the step
+    that holds it.  ``t_total`` sets the error budget per unit time and the
+    smallest admissible step; pass the duration of the whole run the
+    integration belongs to.
 
     Raises ``StepSizeUnderflow`` when the step size falls below that floor
     or the run needs more than ``MAX_STEPS`` steps.
@@ -82,8 +80,7 @@ def integrate(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total,
     dim = c0.shape[0]
     n_samples = sample_times.shape[0]
     rhs = _rhs(dim, rows, cols, camps, nus)
-    shape = c0.shape if probes is None else (dim,)
-    out = np.zeros((n_samples,) + shape, dtype=np.complex128)
+    out = np.zeros((n_samples,) + c0.shape, dtype=np.complex128)
 
     t = t0
     y = c0.copy()
@@ -121,16 +118,11 @@ def integrate(c0, t0, sample_times, rows, cols, camps, nus, tol, t_total,
         if err <= target:
             done = np.searchsorted(sample_times, t + h, side="right")
             if done > isample:
-                # one matrix-vector product per sample, so that its value does
-                # not depend on how many samples share the step
                 delta = y_new - y
                 b = h * k1 - delta
                 cont = [y, delta, b, delta - h * k7 - b,
                         h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5
                              + _D6 * k6 + _D7 * k7)]
-                if probes is not None:
-                    cont = [(r @ probes[isample:done, :, None])[..., 0]
-                            for r in cont]
                 theta = ((sample_times[isample:done] - t) / h).reshape(
                     (-1,) + (1,) * (out.ndim - 1))
                 rest = 1.0 - theta

@@ -41,7 +41,7 @@ from .beam import BeamDrive, azimuthal_component
 from .config import DEFAULT_SAMPLES, DEFAULT_TOL, MODES, TOL_RANGE
 from .constants import COOPER_CHARGE, HBAR
 from .coupling import drive_products, matrix_element_terms
-from .errors import NotTwoLevel
+from .errors import NormDrift, NotTwoLevel
 from .ring import (DEFAULT_N_MAX, RingParams, level_angular_frequency,
                    transition_angular_frequency)
 
@@ -205,27 +205,6 @@ def _split_periods(times, t0, period):
     return [int(v) for v in whole], tau
 
 
-def _chunk_bounds(phase_of, dim):
-    """Bounds [0, held, ..., n] of the chunks of the n phase-sorted samples.
-
-    ``phase_of`` numbers the distinct phases of the sorted samples.  Pass 1
-    keeps one dim x dim propagator per distinct phase of the first ``held``
-    samples, one per later chunk start and one at T; each later chunk's
-    probe pass keeps one dim-vector per sample.  Both stay within
-    ``_RECORD_BYTES``, except that pass 1 always keeps at least two
-    propagators and a probe pass takes as many samples as leaving the first
-    chunk empty would need.
-    """
-    n = phase_of.size
-    matrices = max(2, _RECORD_BYTES // (16 * dim * dim))
-    vectors = max(_RECORD_BYTES // (16 * dim), -(-n // (matrices - 1)))
-    take = np.arange(n + 1)                     # samples pass 1 may take
-    kept = np.concatenate(([0], phase_of + 1))  # their distinct phases
-    later = -(-(n - take) // vectors)           # chunks for the rest
-    held = int(take[kept + later + 1 <= matrices][-1])
-    return [0, *range(held, n, vectors), n]
-
-
 def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
     """Amplitudes at ``times`` from stepping one drive period once.
 
@@ -236,36 +215,28 @@ def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
         P = D(T) U_I(t0 + T, t0)          (the monodromy).
 
     Each sample splits as t_k = t0 + m_k T + tau_k.  One pass steps the
-    identity over one period and records U_I(tau) at every distinct sample
-    phase and U_I(T) at its end, read from the kernel's dense output at no
-    extra right-hand-side call.  P follows from the last record,
+    identity over one period and records U_I(tau) at the sample phases and
+    U_I(T) at its end, read from the kernel's dense output at no extra
+    right-hand-side call.  P follows from the last record,
     w_k = P^{m_k} c0 by binary powering in order of m_k, and sample k is
     D(m_k T)^* U_I(tau_k) w_k.  The error budget per unit time stays that of
     the whole run.  The caller passes only the levels the initial state
     reaches, so the identity is as small as those.
 
-    The records stay within ``_RECORD_BYTES`` (``_chunk_bounds``).  Phases
-    past what fits go in later chunks: pass 1 records U_I only at the first
-    phase of each, and one probe pass per chunk steps on from there carrying
-    the vectors U_I(tau_k) w_k alone.
+    The distinct phases are recorded in sorted groups of as many propagators
+    as fit in ``_RECORD_BYTES`` next to U_I(T), but at least one: the pass
+    over the period records the first group, and each later group is
+    stepped on from the last propagator of the group before it.
     """
     dim = c0.shape[0]
     whole, tau = _split_periods(times, t0, period)
-    order = np.argsort(tau, kind="stable")
-    ranked = tau[order]
-    fresh = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    phase_of = np.cumsum(fresh) - 1
-    bounds = _chunk_bounds(phase_of, dim)
-    held = bounds[1]
-    kept = phase_of[held - 1] + 1 if held else 0
-    marks = np.concatenate((ranked[:held][fresh[:held]], ranked[bounds[1:-1]],
-                            [period]))
-    records, n_steps = _kernels.integrate(np.eye(dim, dtype=np.complex128),
-                                          t0, t0 + marks, *terms, tol, t_total)
+    phases, phase_of = np.unique(tau, return_inverse=True)
+    group = max(1, _RECORD_BYTES // (16 * dim * dim) - 1)
+    records, n_steps = _kernels.integrate(
+        np.eye(dim, dtype=np.complex128), t0,
+        t0 + np.append(phases[:group], period), *terms, tol, t_total)
     powers = [np.exp(-1j * omega_levels * period)[:, None] * records[-1]]
 
-    rank = np.empty(times.size, dtype=np.int64)
-    rank[order] = np.arange(times.size)
     out = np.empty((times.size, dim), dtype=np.complex128)
     state, done = c0, 0
     for k, m in enumerate(whole):
@@ -278,16 +249,18 @@ def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
             rest >>= 1
             bit += 1
         done = m
-        # U_I(tau_k) w_k where pass 1 kept U_I(tau_k), else w_k for a probe
-        out[k] = (records[phase_of[rank[k]]] @ state if rank[k] < held
-                  else state)
+        out[k] = state
 
-    for chunk, (start, stop) in enumerate(zip(bounds[1:-1], bounds[2:])):
-        probed = order[start:stop]
-        out[probed], more = _kernels.integrate(
-            records[kept + chunk], t0 + ranked[start], t0 + ranked[start:stop],
-            *terms, tol, t_total, out[probed])
-        n_steps += more
+    for start in range(0, phases.size, group):
+        if start:
+            records, more = _kernels.integrate(
+                records[group - 1], t0 + phases[start - 1],
+                t0 + phases[start:start + group], *terms, tol, t_total)
+            n_steps += more
+        # one matrix-vector product per sample, so that its value does not
+        # depend on how many samples share a phase
+        for k in np.flatnonzero(phase_of // group == start // group):
+            out[k] = records[phase_of[k] - start] @ out[k]
     out *= np.exp(1j * np.outer(np.array(whole, dtype=float) * period,
                                 omega_levels))
     return out, n_steps
@@ -416,6 +389,9 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
     StepSizeUnderflow
         If the controller cannot meet the tolerance with a representable
         step (stiff or ill-conditioned input).
+    NormDrift
+        If some sample's sum |c_n|^2 is not finite or deviates from 1 by
+        more than ``max(NORM_TOL, 10 * tol)``.
     """
     if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
         raise ValueError(f"tol must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
@@ -486,7 +462,7 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
     drift = np.abs(traj.norms - 1.0)
     bad = np.flatnonzero(~(drift <= max(NORM_TOL, 10.0 * tol)))
     if bad.size:
-        raise ValueError(f"state not normalized: sum |c_n|^2 = {traj.norms[bad[0]]}")
+        raise NormDrift(f"state not normalized: sum |c_n|^2 = {traj.norms[bad[0]]}")
     return traj
 
 

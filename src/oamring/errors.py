@@ -21,6 +21,10 @@ class StepSizeUnderflow(OamRingError):
     """The adaptive integrator could not meet the tolerance with a finite step."""
 
 
+class NormDrift(OamRingError):
+    """An evolved state's norm drifted past the run's tolerance."""
+
+
 class NotTwoLevel(OamRingError):
     """Operation requires a state supported on exactly two levels."""
 

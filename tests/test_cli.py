@@ -522,6 +522,16 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert "thin-wire" in capsys.readouterr().err
 
 
+def test_norm_drift_is_a_numerical_error():
+    # 4.3e7 drive periods: powering the monodromy that often drifts the norm
+    # past 10 tol by rounding alone
+    code, text = run(["dynamics", "--mode", "full", "--t-final", "1e-7",
+                      "--samples", "3"])
+    assert code == 2
+    assert text.startswith("error: state not normalized: ")
+    assert text.count("\n") == 1
+
+
 def test_out_flag_writes_file(tmp_path):
     out = tmp_path / "report.json"
     code, text = run(["--format", "json", "--out", str(out), "feasibility"])

@@ -320,7 +320,9 @@ def _doc_tables():
             heading = re.match(r"## `\[(\w+)\]`", line)
             section = heading and tables.setdefault(heading.group(1), {})
             continue
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        # a cell may hold an escaped pipe, as in |A0|
+        cells = [cell.strip().replace(r"\|", "|")
+                 for cell in re.split(r"(?<!\\)\|", line.strip().strip("|"))]
         key = re.fullmatch(r"`(\w+)`", cells[0])
         if section is not None and key:
             section[key.group(1)] = cells[1:]
@@ -340,6 +342,7 @@ def test_schema_doc_lists_every_key():
 def test_schema_doc_matches_owning_constants():
     tables = _doc_tables()
     beam, sim, conv = tables["beam"], tables["simulation"], tables["conventions"]
+    assert len(beam["amplitude"]) == 2 and "|A0|" in beam["amplitude"][0]
 
     choices, default = beam["polarization"][0].split(";")
     assert _ticked(choices) == list(POLARIZATIONS)

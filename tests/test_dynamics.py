@@ -15,7 +15,7 @@ from oamring.dynamics import (StateVector, Trajectory, _build_term_arrays,
                               _frame_fits, _level_sets, _split_periods,
                               density_profile, dipole_moment, evolve,
                               floquet_min_periods, pattern_rotation_check)
-from oamring.errors import NotTwoLevel, StepSizeUnderflow
+from oamring.errors import NormDrift, NotTwoLevel, StepSizeUnderflow
 from oamring.ring import transition_angular_frequency
 
 from conftest import PUBLISHED_A0, PUBLISHED_INTENSITY
@@ -140,7 +140,7 @@ def test_evolve_rejects_norm_drift(monkeypatch, chain_params, lg01_beam):
     evolve(initial, lg01_beam, chain_params, t_final, tol=1e-9, mode="full",
            n_samples=11)
     monkeypatch.setattr(_kernels, "integrate", drifting)
-    with pytest.raises(ValueError, match="state not normalized"):
+    with pytest.raises(NormDrift, match="state not normalized"):
         evolve(initial, lg01_beam, chain_params, t_final, tol=1e-9,
                mode="full", n_samples=11)
 
@@ -155,7 +155,7 @@ def test_evolve_rejects_nan_samples(monkeypatch, chain_params, lg01_beam):
 
     initial = StateVector.from_levels({0: 1.0}, n_max=4)
     monkeypatch.setattr(_kernels, "integrate", nan_row)
-    with pytest.raises(ValueError, match="state not normalized"):
+    with pytest.raises(NormDrift, match="state not normalized"):
         evolve(initial, lg01_beam, chain_params, _direct_full_run(lg01_beam),
                tol=1e-9, mode="full", n_samples=11)
 
@@ -171,7 +171,7 @@ def test_evolve_rejects_rwa_norm_drift(monkeypatch, chain_params, lg01_beam):
     evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9, mode="rwa",
            n_samples=11)
     monkeypatch.setattr(dynamics, "_evolve_rwa", drifting)
-    with pytest.raises(ValueError, match="state not normalized"):
+    with pytest.raises(NormDrift, match="state not normalized"):
         evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9,
                mode="rwa", n_samples=11)
 
@@ -186,7 +186,7 @@ def test_evolve_rejects_rwa_nan_samples(monkeypatch, chain_params, lg01_beam):
 
     initial = StateVector.from_levels({0: 1.0}, n_max=4)
     monkeypatch.setattr(dynamics, "_evolve_rwa", nan_row)
-    with pytest.raises(ValueError, match="state not normalized"):
+    with pytest.raises(NormDrift, match="state not normalized"):
         evolve(initial, lg01_beam, chain_params, 1e-12, tol=1e-9,
                mode="rwa", n_samples=11)
 
@@ -520,34 +520,56 @@ def test_norm_drift_within_budget_at_large_n_max(monkeypatch, n_periods, rank):
 
 
 def test_floquet_chunks_match_one_pass(monkeypatch, chain_params, lg01_beam):
-    # a budget of ten propagators of the 9 levels splits 201 samples into
-    # chunks: pass 1 keeps the first few and each later chunk is a probe
-    # pass that starts from a propagator pass 1 recorded
+    # a budget of a few propagators of the 9 levels splits the distinct
+    # sample phases into groups: the pass over the period records the first
+    # group and U_I(T), and each later group is stepped on from the last
+    # propagator of the one before.  The second grid puts samples on whole
+    # periods and repeats its offsets in every period, so one phase serves
+    # samples in many periods, within and across the group boundaries.
     n_max = 4
     period = 2 * np.pi / lg01_beam.omega
     initial = StateVector.from_levels({0: 0.8, 1: 0.6j}, n_max=n_max)
-    t_final = 40.3 * period
+    offsets = np.array([0.0, 0.125, 0.25, 0.5, 0.625, 0.75]) * period
+    shared = np.concatenate([m * period + offsets for m in range(40)])
 
-    def run():
-        return evolve(initial, lg01_beam, chain_params, t_final, tol=1e-9,
-                      mode="full", n_samples=201).amplitudes
+    def run(times):
+        return evolve(initial, lg01_beam, chain_params, 40.3 * period,
+                      tol=1e-9, mode="full", sample_times=times,
+                      n_samples=201)
 
-    one_pass = run()
-    budget = 10 * 16 * (2 * n_max + 1) ** 2
-    recorded = []
     real = _kernels.integrate
+    for propagators, times in ((10, None), (3, shared)):
+        one_pass = run(times).amplitudes
+        budget = propagators * 16 * (2 * n_max + 1) ** 2
+        calls = []
 
-    def spy(*args):
-        out, n_steps = real(*args)
-        recorded.append(out.nbytes)
-        return out, n_steps
+        def spy(c0, t0, sample_times, *args):
+            out, n_steps = real(c0, t0, sample_times, *args)
+            calls.append((c0, t0, sample_times, out))
+            return out, n_steps
 
-    monkeypatch.setattr(dynamics, "_RECORD_BYTES", budget)
-    monkeypatch.setattr(_kernels, "integrate", spy)
-    chunked = run()
-    assert len(recorded) >= 3
-    assert max(recorded) <= budget
-    assert np.max(np.abs(chunked - one_pass)) < 1e-10
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_RECORD_BYTES", budget)
+            patch.setattr(_kernels, "integrate", spy)
+            chunked = run(times)
+
+        # pass 1 records U_I(T) after its group; each later call starts from
+        # the last record of the group before it
+        assert calls[0][2][-1] == period
+        groups = [(calls[0][2][:-1], calls[0][3][:-1])] + [
+            (sample_times, out) for _, _, sample_times, out in calls[1:]]
+        assert len(groups) >= 3
+        for (last_times, last_out), (c0, t0, _, _) in zip(groups, calls[1:]):
+            assert t0 == last_times[-1]
+            assert np.array_equal(c0, last_out[-1])     # a propagator
+        _, tau = _split_periods(chunked.times, 0.0, period)
+        phases, counts = np.unique(tau, return_counts=True)
+        if times is shared:
+            assert counts[0] == 40 and np.any(counts[propagators - 1:] > 1)
+        recorded = np.concatenate([group for group, _ in groups])
+        assert np.array_equal(recorded, phases)     # each phase once
+        assert max(out.nbytes for _, _, _, out in calls) <= budget
+        assert np.max(np.abs(chunked.amplitudes - one_pass)) < 1e-10
 
 
 @pytest.mark.parametrize("mode", ["rwa", "full"])

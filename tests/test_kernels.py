@@ -122,21 +122,6 @@ def test_identity_state_gives_propagator():
                                rtol=0, atol=1e-10)
 
 
-def test_probes_record_matrix_times_vector():
-    omega = 2 * np.pi * 1e9
-    rng = np.random.default_rng(5)
-    for n_samples in (31, 4001):
-        args, samples = two_level_problem(omega, 3e-9, n_samples)
-        probes = (rng.normal(size=(n_samples, 2))
-                  + 1j * rng.normal(size=(n_samples, 2)))
-        out, _ = integrate(np.eye(2, dtype=complex), *args[1:], 1e-11,
-                           3e-9, probes)
-        assert out.shape == (n_samples, 2)
-        expected = np.einsum("kij,kj->ki",
-                             two_level_propagator(omega, samples), probes)
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
-
-
 def test_samples_in_one_step_need_no_temporaries():
     # 4001 propagator samples inside the first step: the interpolation
     # writes into the output, with no temporaries of the output's size
