@@ -4,20 +4,22 @@ analysis of superposition states.
 Evolution runs in the interaction picture: the state is expanded on the ring
 eigenfunctions including their energy phases, so the equations of motion
 contain only the coupling beats (differences of drive and transition
-frequencies), never the bare optical carrier.  ``evolve`` assembles the
-coupling term list once (for the RWA only the slow terms), finds its
-coupled level sets and keeps the levels of those the initial state touches:
-no term links them to any other level, so every path below runs on those
-levels alone and the others stay exactly 0.  It then either solves the
-terms in closed form (RWA) or hands the stepping to the kernel in
-``_kernels`` (full mode).
+frequencies), never the bare optical carrier.  ``evolve`` first walks out
+from the initial state's levels along the drive's winding changes
+(``_coupled_levels``), expanding each reached level's column of coupling
+terms once (for the RWA keeping only the slow terms).  The walk reaches
+exactly the coupled level sets the initial state touches: no term links
+them to any other level, so every path below runs on those levels alone and
+the others stay exactly 0.  It then either solves the terms in closed form
+(RWA) or hands the stepping to the kernel in ``_kernels`` (full mode).
 
 RWA runs are not stepped.  Every kept beat is a difference
-theta_r - theta_c of a level "potential" theta, so in the frame
-c_n = exp(i theta_n t) b_n the equations have a constant generator, and one
-Hermitian eigendecomposition per coupled level set gives every sample
-exactly (``_evolve_rwa``); ``tol`` does not set their accuracy and
-``n_steps`` is 0.  Only a term list that no theta fits is stepped.
+theta_r - theta_c of a level "potential" theta, which the walk sets on its
+way, so in the frame c_n = exp(i theta_n t) b_n the equations have a
+constant generator, and one Hermitian eigendecomposition per coupled level
+set gives that set's samples exactly (``_evolve_rwa``); ``tol`` does not
+set their accuracy and ``n_steps`` is 0.  Only a term list that no theta
+fits is stepped.
 
 Full (non-RWA) runs that span many drive periods still carry the carrier in
 their beats, but the lab-frame Hamiltonian repeats exactly with the drive
@@ -42,8 +44,7 @@ from .config import DEFAULT_SAMPLES, DEFAULT_TOL, MODES, TOL_RANGE
 from .constants import COOPER_CHARGE, HBAR
 from .coupling import drive_products, matrix_element_terms
 from .errors import NormDrift, NotTwoLevel
-from .ring import (DEFAULT_N_MAX, RingParams, level_angular_frequency,
-                   transition_angular_frequency)
+from .ring import DEFAULT_N_MAX, RingParams, level_angular_frequency
 
 _SUPPORT_TOL = 1e-12
 _ROTATION_POINTS = 100  # angles at which pattern rigidity is checked
@@ -133,39 +134,56 @@ class Trajectory:
         return self.populations[:, n + n_max]
 
 
-def _build_term_arrays(drive, params, n_max, rwa=False):
-    """The coupling terms of H_I as arrays (rows, cols, camps, nus).
+def _coupled_levels(drive, params, n_max, support, rwa):
+    """The levels some chain of coupling terms links to ``support``.
 
-    With ``rwa`` only the terms the RWA keeps, those beating slower than a
-    tenth of the drive frequency; a pair no drive product can give such a
-    beat is not expanded at all.
+    A breadth-first walk starts at each winding of ``support`` that no
+    earlier walk reached, and steps along the drive's winding changes
+    (``drive_products``): each reached level n has its column <m|H_I|n>
+    expanded once through ``matrix_element_terms``, and every m a term links
+    to n joins n's coupled set.  H_I is Hermitian, so these sets are closed:
+    no term links them to any other level.  With ``rwa`` only the terms the
+    RWA keeps count, those beating slower than a tenth of the drive
+    frequency.  Along the walk theta_r = theta_c + nu, from theta = 0 at the
+    set's first level; only the RWA reads theta, and only where it fits
+    every term (``_frame_fits``).
+
+    Returns ``(reached, terms, theta, sets)``: the reached windings, sorted;
+    their terms as arrays (rows, cols, camps, nus), sorted row-major, with
+    rows and cols indexing ``reached``; theta in the same order; and each
+    coupled set as a sorted list of indices into ``reached``.
     """
-    signs = {}      # winding change -> total time signs of its products
-    for k, s, _ in drive_products(drive):
-        signs.setdefault(k, set()).add(s)
+    changes = sorted({k for k, _, _ in drive_products(drive)})
     cutoff = drive.omega / 10.0
-    rows, cols, camps, nus = [], [], [], []
-    for m in range(-n_max, n_max + 1):
-        for n in range(-n_max, n_max + 1):
-            if m - n not in signs:      # no other pair has a term
-                continue
-            if rwa:
-                # the beat expression of ``matrix_element_terms``
-                omega_mn = transition_angular_frequency(m, n, params)
-                if not any(abs(omega_mn - s * drive.omega) < cutoff
-                           for s in signs[m - n]):
-                    continue
-            for term in matrix_element_terms(m, n, drive, params, n_max=n_max):
-                if rwa and not abs(term.beat) < cutoff:
-                    continue
-                rows.append(m + n_max)
-                cols.append(n + n_max)
-                camps.append(-1j * term.amplitude / HBAR)
-                nus.append(term.beat)
-    return (np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(camps, dtype=np.complex128),
-            np.asarray(nus, dtype=np.float64))
+    theta, found, walks = {}, [], []
+    for root in support:
+        if root in theta:
+            continue
+        theta[root] = 0.0
+        members = [root]
+        for n in members:       # grows while it is walked
+            for m in (n + k for k in changes if abs(n + k) <= n_max):
+                for term in matrix_element_terms(m, n, drive, params,
+                                                 n_max=n_max):
+                    if rwa and not abs(term.beat) < cutoff:
+                        continue
+                    found.append((m, n, -1j * term.amplitude / HBAR,
+                                  term.beat))
+                    if m not in theta:
+                        theta[m] = theta[n] + term.beat
+                        members.append(m)
+        walks.append(members)
+    reached = sorted(theta)
+    index = {n: i for i, n in enumerate(reached)}
+    found.sort(key=lambda term: (term[0], term[1]))     # stable within a pair
+    rows, cols, camps, nus = zip(*found) if found else ((),) * 4
+    terms = (np.array([index[m] for m in rows], dtype=np.int64),
+             np.array([index[n] for n in cols], dtype=np.int64),
+             np.array(camps, dtype=np.complex128),
+             np.array(nus, dtype=np.float64))
+    return (np.array(reached, dtype=np.int64), terms,
+            np.array([theta[n] for n in reached]),
+            [sorted(index[n] for n in members) for members in walks])
 
 
 def floquet_min_periods(n_max: int) -> float:
@@ -266,87 +284,45 @@ def _evolve_floquet(c0, t0, times, terms, tol, t_total, period, omega_levels):
     return out, n_steps
 
 
-def _level_sets(dim, rows, cols, nus):
-    """The coupled level sets of the terms and a level potential theta.
-
-    A breadth-first walk over the terms (r, c, nu) sets theta = 0 at the
-    first level of each set and theta_r = theta_c + nu along the walk.
-    Returns ``(theta, sets)``.  Only the RWA reads theta, and only where it
-    fits every term (``_frame_fits``).
-    """
-    neighbours = [[] for _ in range(dim)]
-    for r, c, nu in zip(rows.tolist(), cols.tolist(), nus.tolist()):
-        neighbours[c].append((r, nu))
-        neighbours[r].append((c, -nu))
-    theta = [None] * dim
-    sets = []
-    for root in range(dim):
-        if theta[root] is not None:
-            continue
-        theta[root] = 0.0
-        members = [root]
-        for level in members:       # grows while it is walked
-            for other, nu in neighbours[level]:
-                if theta[other] is None:
-                    theta[other] = theta[level] + nu
-                    members.append(other)
-        sets.append(members)
-    return np.array(theta), sets
-
-
 def _frame_fits(theta, rows, cols, nus, omega):
     """Whether theta_r - theta_c = nu holds for every term (r, c, nu).
 
-    The slack is the rounding of the at most ``theta.size`` beats, each of
-    size ``omega``, summed into a theta.  A true mismatch is a whole
-    multiple of ``omega`` around a cycle, which takes at least 11 kept RWA
-    terms of |nu| < omega / 10.
+    A theta is the sum of the beats along the walk's path to its level, and
+    no path is longer than the ``theta.size`` reached levels, so the slack
+    is the rounding of that many beats, each of size ``omega``.  A true
+    mismatch is a whole multiple of ``omega`` around a cycle, which takes at
+    least 11 kept RWA terms of |nu| < omega / 10.
     """
     slack = 8.0 * theta.size * np.finfo(np.float64).eps * omega
     return bool(np.all(np.abs(theta[rows] - theta[cols] - nus) <= slack))
 
 
-def _evolve_rwa(c0, t0, times, rows, cols, camps, nus, theta, sets):
+def _evolve_rwa(c0, t0, times, rows, cols, camps, theta, sets):
     """Amplitudes at ``times`` under the kept RWA terms, in closed form.
 
     With nu_j = theta_r - theta_c for every term (``_frame_fits``),
     c_n = exp(i theta_n t) b_n turns the equations into db/dt = G b with the
-    constant G = A - i diag(theta), A the terms' ``camps`` as a matrix.  Each
-    coupled level set is diagonalised on its own, i G = V diag(lam) V^+, so V
-    is block-diagonal:
+    constant G = A - i diag(theta), A the terms' ``camps`` as a matrix.  No
+    term links two coupled sets, so each set is solved on its own: with
+    i G = V diag(lam) V^+ on the set's levels,
 
         c(t_k) = exp(i theta t_k) * V exp(-i lam (t_k - t0)) V^+ exp(-i theta t0) c0.
     """
-    dim = c0.shape[0]
     generator = np.diag(theta).astype(np.complex128)      # i G
     np.add.at(generator, (rows, cols), 1j * camps)
-    lam = np.empty(dim)
-    vecs = np.zeros((dim, dim), dtype=np.complex128)
+    out = np.empty((times.size, c0.shape[0]), dtype=np.complex128)
     for members in sets:
-        block = np.ix_(members, members)
-        lam[members], vecs[block] = np.linalg.eigh(generator[block])
-    weights = vecs.conj().T @ (np.exp(-1j * theta * t0) * c0)
-    # V's entries within each set, grouped by row: output level i sums
-    # V[i, j] * modes[j] over the j of its own set only
-    v_rows, v_cols = np.array(sorted((i, j) for members in sets
-                                     for i in members for j in members)).T
-    v_vals = vecs[v_rows, v_cols]
-    starts = np.searchsorted(v_rows, np.arange(dim))
-    moving = np.flatnonzero(theta)      # the frame turns only these levels
-
-    # samples in blocks, so no temporary is as large as the output; each
-    # sample is summed on its own, so its value does not depend on the block
-    out = np.empty((times.size, dim), dtype=np.complex128)
-    scratch = np.empty((min(times.size, _RWA_BLOCK), dim), dtype=np.complex128)
-    for start in range(0, times.size, _RWA_BLOCK):
-        t = times[start:start + _RWA_BLOCK, None]
-        chunk, modes = out[start:start + _RWA_BLOCK], scratch[:t.shape[0]]
-        np.exp(np.multiply(t - t0, -1j * lam, out=modes), out=modes)
-        modes *= weights
-        products = modes[:, v_cols]
-        products *= v_vals
-        np.add.reduceat(products, starts, axis=1, out=chunk)
-        chunk[:, moving] *= np.exp(1j * t * theta[moving])
+        lam, vecs = np.linalg.eigh(generator[np.ix_(members, members)])
+        weights = vecs.conj().T @ (np.exp(-1j * theta[members] * t0)
+                                   * c0[members])
+        # samples in blocks, so no temporary is as large as the output; each
+        # sample is summed on its own, so its value does not depend on the block
+        for start in range(0, times.size, _RWA_BLOCK):
+            t = times[start:start + _RWA_BLOCK, None]
+            modes = np.exp(np.multiply(t - t0, -1j * lam)) * weights
+            out[start:start + _RWA_BLOCK, members] = (
+                np.sum(modes[:, None, :] * vecs, axis=2)
+                * np.exp(1j * t * theta[members]))
     return out
 
 
@@ -422,41 +398,28 @@ def evolve(initial: StateVector, drive: BeamDrive, params: RingParams,
         if times[0] < t0 or times[-1] > t0 + t_final * (1.0 + 1e-12):
             raise ValueError("sample_times must lie within the run span")
 
-    rwa = mode == "rwa"
-    dim = 2 * initial.n_max + 1
-    rows, cols, camps, nus = _build_term_arrays(azimuthal_component(drive),
-                                                params, initial.n_max, rwa)
-    theta, sets = _level_sets(dim, rows, cols, nus)
-    # only the level sets the initial state touches move: the run is solved
-    # on their levels alone, and every other level stays exactly 0
+    n_max = initial.n_max
     amps0 = np.asarray(initial.amplitudes, dtype=np.complex128)
-    sets = [members for members in sets if np.any(amps0[members])]
-    reached = np.array(sorted(i for members in sets for i in members))
-    index = np.full(dim, -1)
-    index[reached] = np.arange(reached.size)
-    keep = index[rows] >= 0
-    rows, cols = index[rows[keep]], index[cols[keep]]
-    camps, nus = camps[keep], nus[keep]
-    terms = (rows, cols, camps, nus)
-    c0, theta = amps0[reached], theta[reached]
+    reached, terms, theta, sets = _coupled_levels(
+        azimuthal_component(drive), params, n_max,
+        (np.flatnonzero(amps0) - n_max).tolist(), mode == "rwa")
+    rows, cols, camps, nus = terms
+    c0 = amps0[reached + n_max]
 
     t0 = float(t0)
     n_steps = 0
-    if rwa and _frame_fits(theta, rows, cols, nus, drive.omega):
-        sub = _evolve_rwa(c0, t0, times, *terms, theta,
-                          [index[members].tolist() for members in sets])
-    elif not rwa and t_final >= floquet_min_periods(initial.n_max) * period:
-        omega_levels = level_angular_frequency(reached - initial.n_max, params)
+    if mode == "rwa" and _frame_fits(theta, rows, cols, nus, drive.omega):
+        sub = _evolve_rwa(c0, t0, times, rows, cols, camps, theta, sets)
+    elif mode == "full" and t_final >= floquet_min_periods(n_max) * period:
+        omega_levels = level_angular_frequency(reached, params)
         sub, n_steps = _evolve_floquet(c0, t0, times, terms, float(tol),
                                        float(t_final), period, omega_levels)
     else:
         sub, n_steps = _kernels.integrate(c0, t0, times, *terms, float(tol),
                                           float(t_final))
-    if reached.size == dim:
-        out = sub
-    else:
-        out = np.zeros((times.size, dim), dtype=np.complex128)
-        out[:, reached] = sub
+    # every level outside the reached sets stays exactly 0
+    out = np.zeros((times.size, 2 * n_max + 1), dtype=np.complex128)
+    out[:, reached + n_max] = sub
 
     traj = Trajectory(times=times, amplitudes=out, n_steps=n_steps)
     drift = np.abs(traj.norms - 1.0)

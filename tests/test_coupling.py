@@ -9,7 +9,7 @@ from oamring.beam import BeamDrive, Polarization, azimuthal_component
 from oamring.constants import COOPER_CHARGE, COOPER_MASS, HBAR
 from oamring.coupling import (matrix_element_terms, rabi_frequency,
                               resonance_catalog, selection_rules)
-from oamring.dynamics import _build_term_arrays
+from oamring.dynamics import _coupled_levels
 from oamring.errors import TruncationExceeded
 from oamring.fields import (evaluate_matrix_element,
                             matrix_element_quadrature_oracle)
@@ -294,9 +294,9 @@ def test_catalog_frequencies_zero_the_matching_beat(chain_params, w20):
 
 
 def test_term_arrays_match_all_pairs(swept_elements, chain_params):
-    # evolve's term table skips the pairs no drive product reaches, and for
-    # the RWA the pairs with no slow beat; it must equal the table built
-    # from every pair, filtered to |beat| < omega / 10 for the RWA, bit for bit
+    # a walk from every level expands only the pairs some drive product
+    # reaches; its table must equal the one built from every pair, filtered
+    # to |beat| < omega / 10 for the RWA, bit for bit
     for (drive, n_max, elements), rwa in itertools.product(swept_elements,
                                                             (False, True)):
         rows, cols, camps, nus = [], [], [], []
@@ -312,7 +312,8 @@ def test_term_arrays_match_all_pairs(swept_elements, chain_params):
                 np.asarray(cols, dtype=np.int64),
                 np.asarray(camps, dtype=np.complex128),
                 np.asarray(nus, dtype=np.float64))
-        got = _build_term_arrays(drive, chain_params, n_max, rwa)
+        _, got, _, _ = _coupled_levels(drive, chain_params, n_max,
+                                       range(-n_max, n_max + 1), rwa)
         for g, w in zip(got, want):
             assert (g.dtype, g.shape) == (w.dtype, w.shape)
             assert g.tobytes() == w.tobytes()

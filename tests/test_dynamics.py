@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oamring import _kernels, dynamics, load_bundled_config, resolve
 from oamring.beam import (POLARIZATIONS, BeamDrive, IntensityConvention,
                           Polarization, amplitude_from_intensity,
                           azimuthal_component)
-from oamring.constants import COOPER_CHARGE
-from oamring.coupling import rabi_frequency
-from oamring.dynamics import (StateVector, Trajectory, _build_term_arrays,
-                              _frame_fits, _level_sets, _split_periods,
+from oamring.config import MODES
+from oamring.constants import COOPER_CHARGE, HBAR
+from oamring.coupling import matrix_element_terms, rabi_frequency
+from oamring.dynamics import (StateVector, Trajectory, _coupled_levels,
+                              _frame_fits, _split_periods,
                               density_profile, dipole_moment, evolve,
                               floquet_min_periods, pattern_rotation_check)
 from oamring.errors import NormDrift, NotTwoLevel, StepSizeUnderflow
@@ -323,9 +324,14 @@ def test_close_sample_times_do_not_underflow():
                                rtol=0, atol=1e-12)
 
 
+def _all_levels(beam, params, n_max, rwa=False):
+    # a walk from every level: its terms index the whole basis
+    return _coupled_levels(azimuthal_component(beam), params, n_max,
+                           range(-n_max, n_max + 1), rwa)
+
+
 def _direct_amplitudes(initial, beam, params, times, tol, t_final):
-    terms = _build_term_arrays(azimuthal_component(beam), params,
-                               initial.n_max)
+    _, terms, _, _ = _all_levels(beam, params, initial.n_max)
     out, _ = _kernels.integrate(initial.amplitudes, initial.reference_time,
                                 times, *terms, tol, t_final)
     return out
@@ -355,8 +361,7 @@ def test_floquet_matches_direct_stepping(chain_params, w20, n_max):
 
 
 def _rwa_terms(beam, params, n_max):
-    rows, cols, camps, nus = _build_term_arrays(azimuthal_component(beam),
-                                                params, n_max)
+    _, (rows, cols, camps, nus), _, _ = _all_levels(beam, params, n_max)
     keep = np.abs(nus) < beam.omega / 10.0
     return rows[keep], cols[keep], camps[keep], nus[keep]
 
@@ -395,6 +400,110 @@ def test_rwa_closed_form_matches_direct_stepping(chain_params, w20,
     assert np.all(traj.amplitudes[:, unreached] == 0.0)
 
 
+# drive frequencies: near the 0 <-> 2 resonance (detuning in Rabi
+# frequencies) or far off it (log of omega / omega_20 in [0.01, 200])
+_FREQUENCIES = st.one_of(
+    st.tuples(st.just("detuning"), st.floats(-3.0, 3.0)),
+    st.tuples(st.just("ratio"), st.floats(math.log(0.01), math.log(200.0))))
+
+
+def _drive_omega(params, frequency, a0):
+    w20 = transition_angular_frequency(2, 0, params)
+    kind, value = frequency
+    if kind == "detuning":
+        return w20 + value * rabi_frequency(params, a0)
+    return w20 * math.exp(value)
+
+
+def _touching_components(drive, params, n_max, support, rwa):
+    """Oracle: the coupled components of the all-pairs table that touch
+    ``support``, as (sorted levels, components, row-major entries)."""
+    levels = range(-n_max, n_max + 1)
+    table = [(m, n, -1j * term.amplitude / HBAR, term.beat)
+             for m in levels for n in levels
+             for term in matrix_element_terms(m, n, drive, params, n_max)
+             if not rwa or abs(term.beat) < drive.omega / 10.0]
+    linked = {n: set() for n in levels}
+    for m, n, _, _ in table:
+        linked[m].add(n)
+        linked[n].add(m)
+    components = []
+    for start in support:
+        if any(start in c for c in components):
+            continue
+        component, stack = {start}, [start]
+        while stack:            # depth-first
+            for other in linked[stack.pop()] - component:
+                component.add(other)
+                stack.append(other)
+        components.append(component)
+    touched = sorted(set().union(*components))
+    return touched, components, [e for e in table if e[0] in touched]
+
+
+@settings(max_examples=80)
+# from |0> at omega = 7 omega_20 the 0 <-> 2 static term beats at omega / 7,
+# just past the RWA cutoff
+@example(oam_index=1, polarization="linear-x",
+         frequency=("ratio", math.log(7.0)), n_max=8, rwa=True, draws=[8])
+@given(oam_index=st.integers(-6, 6),
+       polarization=st.sampled_from(list(POLARIZATIONS)),
+       frequency=_FREQUENCIES,
+       n_max=st.sampled_from([2, 8, 32, 64]),
+       rwa=st.booleans(),
+       draws=st.lists(st.integers(0, 128), min_size=1, max_size=5))
+def test_coupled_levels_match_all_pairs_property(chain_params, oam_index,
+                                                 polarization, frequency,
+                                                 n_max, rwa, draws):
+    # the walk from the support finds exactly the components of the whole
+    # table that touch it: same levels, same sets, same terms bit for bit
+    support = [d % (2 * n_max + 1) - n_max for d in draws]
+    omega = _drive_omega(chain_params, frequency, PUBLISHED_A0)
+    drive = azimuthal_component(BeamDrive(oam_index, omega, PUBLISHED_A0,
+                                          POLARIZATIONS[polarization]()))
+    reached, terms, theta, sets = _coupled_levels(drive, chain_params, n_max,
+                                                  support, rwa)
+    touched, components, entries = _touching_components(
+        drive, chain_params, n_max, support, rwa)
+    assert reached.tolist() == touched
+    assert theta.shape == reached.shape
+    index = {n: i for i, n in enumerate(touched)}
+    assert sorted(sets) == sorted(sorted(index[n] for n in c)
+                                  for c in components)
+    want = (np.array([index[e[0]] for e in entries], dtype=np.int64),
+            np.array([index[e[1]] for e in entries], dtype=np.int64),
+            np.array([e[2] for e in entries], dtype=np.complex128),
+            np.array([e[3] for e in entries], dtype=np.float64))
+    for got, expected in zip(terms, want):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_walk_expands_each_reached_pair_once(monkeypatch, chain_params,
+                                             lg01_beam, mode):
+    # an OAM-1 drive changes the winding by an even number, so a run from
+    # |0> expands only even columns, and no pair twice
+    calls = []
+    real = dynamics.matrix_element_terms
+
+    def spy(m, n, *args, **kwargs):
+        calls.append((m, n))
+        return real(m, n, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "matrix_element_terms", spy)
+    n_max = 8
+    initial = StateVector.from_levels({0: 1.0}, n_max=n_max)
+    traj = evolve(initial, lg01_beam, chain_params, 1e-13, tol=1e-9,
+                  mode=mode, n_samples=3)
+    assert len(calls) == len(set(calls)) > 0
+    columns = {n for _, n in calls}
+    assert all(n % 2 == 0 for n in columns)
+    assert np.all(traj.amplitudes[:, 1::2] == 0.0)      # odd windings
+    if mode == "full":
+        assert columns == set(range(-n_max, n_max + 1, 2))
+
+
 def test_rwa_inconsistent_frame_falls_back_to_stepping(monkeypatch,
                                                        chain_params,
                                                        lg01_beam):
@@ -407,12 +516,14 @@ def test_rwa_inconsistent_frame_falls_back_to_stepping(monkeypatch,
     camps = np.full(6, -1e-3j * omega)          # a Hermitian coupling
     nus = np.array([nu, nu, nu, -nu, -nu, -nu])
     consistent = np.array([nu, nu, -2 * nu, -nu, -nu, 2 * nu])
-    for beats, fits in ((consistent, True), (nus, False)):
-        theta, _ = _level_sets(3, rows, cols, beats)
-        assert _frame_fits(theta, rows, cols, beats, omega) is fits
+    # theta as a walk from level index 0 sets it: its column reaches 1 and 2
+    for beats, theta, fits in ((consistent, [0.0, nu, 2 * nu], True),
+                               (nus, [0.0, nu, -nu], False)):
+        assert _frame_fits(np.array(theta), rows, cols, beats, omega) is fits
 
     terms = (rows, cols, camps, nus)
-    monkeypatch.setattr(dynamics, "_build_term_arrays", lambda *args: terms)
+    walk = (np.arange(-1, 2), terms, np.array([0.0, nu, -nu]), [[0, 1, 2]])
+    monkeypatch.setattr(dynamics, "_coupled_levels", lambda *args: walk)
     initial = StateVector.from_levels({0: 1.0}, n_max=1)
     t_final = 20 * 2 * np.pi / omega
     traj = evolve(initial, lg01_beam, chain_params, t_final, tol=1e-9,
@@ -426,27 +537,28 @@ def test_rwa_inconsistent_frame_falls_back_to_stepping(monkeypatch,
 @settings(max_examples=60)
 @given(oam_index=st.integers(-6, 6),
        polarization=st.sampled_from(list(POLARIZATIONS)),
-       detuning=st.floats(-3.0, 3.0),
+       frequency=_FREQUENCIES,
        n_max=st.sampled_from([2, 8, 32, 64]),
        convention=st.sampled_from(list(IntensityConvention)))
 def test_rwa_frame_is_consistent_property(chain_params, oam_index,
-                                          polarization, detuning, n_max,
+                                          polarization, frequency, n_max,
                                           convention):
     # every kept beat is a difference of level potentials, so RWA runs
-    # never fall back to stepping anywhere in the config space
+    # never fall back to stepping anywhere in the config space, near the
+    # resonance and far off it
     w20 = transition_angular_frequency(2, 0, chain_params)
-    a0 = amplitude_from_intensity(PUBLISHED_INTENSITY, w20, convention)
-    omega = w20 + detuning * rabi_frequency(chain_params, a0)
+    omega = _drive_omega(chain_params, frequency, amplitude_from_intensity(
+        PUBLISHED_INTENSITY, w20, convention))
     beam = BeamDrive(oam_index, omega,
                      amplitude_from_intensity(PUBLISHED_INTENSITY, omega,
                                               convention),
                      POLARIZATIONS[polarization]())
-    rows, cols, _, nus = _rwa_terms(beam, chain_params, n_max)
-    dim = 2 * n_max + 1
-    theta, sets = _level_sets(dim, rows, cols, nus)
+    _, (rows, cols, _, nus), theta, sets = _all_levels(beam, chain_params,
+                                                       n_max, rwa=True)
     assert _frame_fits(theta, rows, cols, nus, omega)
     np.testing.assert_allclose(theta[rows] - theta[cols], nus, rtol=0,
                                atol=1e-12 * omega)
+    dim = 2 * n_max + 1
     assert sorted(i for members in sets for i in members) == list(range(dim))
     set_of = {i: k for k, members in enumerate(sets) for i in members}
     assert all(set_of[r] == set_of[c] for r, c in zip(rows, cols))
