@@ -17,8 +17,9 @@ from .beam import (BeamDrive, HarmonicDrive, HarmonicTerm, IntensityConvention,
 from .coupling import (MatrixElementTerm, TransitionCatalogEntry,
                        matrix_element_terms, rabi_frequency, resonance_catalog,
                        selection_rules)
-from .twoqubit import (TwoRingConfig, controlled_phase, cz_gate_time,
-                       interaction_energy, mutual_inductance_coaxial)
+from .twoqubit import (TwoRingConfig, controlled_phase, cz_fidelity,
+                       cz_gate_time, interaction_energy,
+                       mutual_inductance_coaxial)
 from .config import DesignConfig, load_bundled_config, load_config
 from .workbench import build_feasibility_report, resolve
 
@@ -31,8 +32,7 @@ _LAZY = {
     **dict.fromkeys(("StateVector", "Trajectory", "density_profile",
                      "dipole_moment", "evolve", "pattern_rotation_check"),
                     "dynamics"),
-    **dict.fromkeys(("TwoQubitState", "cz_fidelity", "evolve_two_qubit"),
-                    "czgate"),
+    **dict.fromkeys(("TwoQubitState", "evolve_two_qubit"), "czgate"),
 }
 _SUBMODULES = ("_kernels", "czgate", "dynamics", "fields")
 

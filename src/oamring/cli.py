@@ -23,16 +23,16 @@ from .coupling import rabi_frequency, resonance_catalog
 from .errors import ConfigError, OamRingError
 from .ring import (level_energy, level_supercurrent,
                    transition_angular_frequency)
-from .twoqubit import controlled_phase, cz_gate_time
+from .twoqubit import controlled_phase, cz_fidelity, cz_gate_time
 from .workbench import (FeasibilityReport, ResolvedModel,
                         build_feasibility_report, resolve)
 
 SCHEMA = "oamring.report/1"
 
-# Names only dynamics and czgate use.  They load on first use, numpy as
-# ``np`` and the others from the package (which knows where each lives), so
-# the other commands, --help and config errors run without numpy.
-_LAZY = ("np", "StateVector", "evolve", "dipole_moment", "cz_fidelity")
+# Names only dynamics uses.  They load on first use, numpy as ``np`` and the
+# others from the package (which knows where each lives), so every other
+# command, --help and config errors run without numpy.
+_LAZY = ("np", "StateVector", "evolve", "dipole_moment")
 
 
 def __getattr__(name):
@@ -177,6 +177,19 @@ def _geomspace(start: float, stop: float, num: int) -> List[float]:
                      for k in range(1, num - 1)), stop]
 
 
+def _linspace(stop: float, num: int) -> List[float]:
+    """``numpy.linspace(0.0, stop, num)`` of a finite stop, point for point."""
+    if num == 1:
+        return [0.0]
+    div = num - 1
+    step = stop / div
+    # numpy divides before it scales where the step underflows to zero; its
+    # "+ start" turns a -0.0 point into 0.0
+    inner = ([k * step for k in range(div)] if step
+             else [k / div * stop + 0.0 for k in range(div)])
+    return [*inner, stop]
+
+
 def cmd_feasibility(model: ResolvedModel, args) -> CommandResult:
     report = build_feasibility_report(model)
     return CommandResult("feasibility", [], [], {}, feasibility=report)
@@ -263,12 +276,9 @@ def cmd_czgate(model: ResolvedModel, args) -> CommandResult:
     if not 0.0 <= t_total < math.inf:
         raise ValueError(
             f"--t-total must be a non-negative finite number, got {t_total}")
-    times = _cli.np.linspace(0.0, t_total,
-                             _at_least(args.samples, 1, "--samples"))
-    rows = []
-    for t in times:
-        rows.append([float(t), controlled_phase(float(t), two_ring),
-                     _cli.cz_fidelity(two_ring, float(t))])
+    times = _linspace(t_total, _at_least(args.samples, 1, "--samples"))
+    rows = [[t, controlled_phase(t, two_ring), cz_fidelity(two_ring, t)]
+            for t in times]
     columns = [("t", "s"), ("phi_cp", "rad"), ("fidelity_cz", "")]
     meta = {"t_CZ": repr(t_cz), "mutual": repr(two_ring.mutual)}
     return CommandResult("czgate", columns, rows, meta)

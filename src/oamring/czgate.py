@@ -1,12 +1,13 @@
 """The controlled-Z gate acting on two-ring states, as arrays.
 
-``twoqubit`` gives the Ising coupling of two rings and the gate time with
-scalar arithmetic.  Here the diagonal phases it accumulates act on
-amplitudes over the qubit basis: each basis state picks up its own phase,
-the local-gauge-invariant combination of the four is the entangling phase,
-and the overlap with an ideal CZ gives the gate fidelity.  The phases are
-kept at extended precision, because the single-ring energies wind through
-about 1e6 rad over one gate time.
+``twoqubit`` gives the Ising coupling of two rings, the gate time and the
+CZ fidelity with scalar arithmetic.  Here the diagonal phases it
+accumulates act on amplitudes over the qubit basis: each basis state picks
+up its own phase, and the local-gauge-invariant combination of the four is
+the entangling phase.  The phases are kept at extended precision, because
+the single-ring energies wind through about 1e6 rad over one gate time.
+The overlap of an evolved state with an ideal CZ's is the array form of
+``twoqubit.cz_fidelity``, and the tests use it as that function's oracle.
 """
 
 import math
@@ -91,15 +92,3 @@ def evolve_two_qubit(initial: TwoQubitState, config: TwoRingConfig, t: float,
     factors = np.exp(-1j * phases).astype(np.complex128)
     return TwoQubitState(initial.amplitudes * factors)
 
-
-def cz_fidelity(config: TwoRingConfig, t: float) -> float:
-    """Overlap fidelity with an ideal CZ acting on the equal superposition.
-
-    Uses the interaction-only gauge (single-ring phases echoed away), so the
-    number reflects the entangling phase alone.
-    """
-    psi0 = TwoQubitState.equal_superposition()
-    evolved = evolve_two_qubit(psi0, config, t, include_self_energy=False)
-    target = psi0.amplitudes * np.array([1.0, 1.0, 1.0, -1.0])
-    overlap = np.vdot(target, evolved.amplitudes)
-    return float(abs(overlap) ** 2)

@@ -12,7 +12,8 @@ from .coupling import rabi_frequency
 from .errors import ValidationError
 from .ring import (RingParams, derive_ring_params, level_energy,
                    level_supercurrent, transition_angular_frequency)
-from .twoqubit import TwoRingConfig, cz_gate_time, interaction_energy
+from .twoqubit import (TwoRingConfig, _far_field_mutual, cz_gate_time,
+                       interaction_energy)
 
 @dataclass(frozen=True)
 class ResolvedModel:
@@ -53,8 +54,12 @@ def resolve(config: DesignConfig) -> ResolvedModel:
         polarization=POLARIZATIONS[config.beam.polarization]())
     two_ring = None
     if config.two_qubit_separation is not None:
-        two_ring = TwoRingConfig.from_separation(
-            params, config.two_qubit_separation)
+        # no far-field warning here: the report's dipole_formula_range check
+        # states the same condition
+        separation = config.two_qubit_separation
+        two_ring = TwoRingConfig(
+            params_a=params, params_b=params, separation=separation,
+            mutual=_far_field_mutual(params.design.radius, separation))
     return ResolvedModel(config=config, params=params,
                          omega_resonance=omega_res, omega_drive=omega,
                          a0_magnitude=a0_mag, drive=drive, two_ring=two_ring)

@@ -126,6 +126,23 @@ def test_penetration_check_marginal_for_paper_design():
     assert checks["dipole_formula_range"] == "pass"
 
 
+def test_near_field_separation_is_a_failed_check_not_a_warning(tmp_path):
+    # 15 um is under 10 r: the report says so, and no command warns (the
+    # test settings turn a warning into an error)
+    cfg = tmp_path / "near.cfg"
+    cfg.write_text(MINIMAL + "\n[two_qubit]\nring_separation = 15 um\n",
+                   encoding="utf-8")
+    for command in ("feasibility", "spectrum", "selection", "rabi",
+                    "dynamics", "czgate"):
+        code, text = run(["--config", str(cfg), "--format", "json", command])
+        assert code == 0, command
+        if command == "feasibility":
+            checks = {c["name"]: c for c in json.loads(text)["checks"]}
+            assert checks["dipole_formula_range"]["status"] == "fail"
+            assert checks["dipole_formula_range"]["detail"] == \
+                "d_R = 15 um vs 10 r = 20 um"
+
+
 def test_spectrum_csv():
     code, text = run(["--format", "csv", "spectrum", "--n-levels", "2"])
     assert code == 0
@@ -338,8 +355,8 @@ def test_rwa_dynamics_imports_no_scipy():
 
 
 def test_scalar_commands_import_no_numpy(tmp_path):
-    # feasibility, spectrum, selection, rabi, --help and config or usage
-    # errors compute nothing with arrays, and numpy is most of a cold start
+    # every command but dynamics, --help and config or usage errors compute
+    # nothing with arrays, and numpy is most of a cold start
     bad = tmp_path / "bad.cfg"
     bad.write_text(MINIMAL.replace("tol = 1e-9", "tol = 1e-3"),
                    encoding="utf-8")
@@ -354,16 +371,19 @@ def check(argv, code):
     assert 'numpy' not in sys.modules, argv
 
 check([], 1)
-for command in ('feasibility', 'spectrum', 'selection', 'rabi'):
+for command in ('feasibility', 'spectrum', 'selection', 'rabi', 'czgate'):
     for fmt in ('table', 'json', 'csv'):
         check(['--format', fmt, command], 0)
 check(['rabi', '--points', '1'], 0)
 check(['rabi', '--min-scale', '10', '--max-scale', '0.1'], 0)
 check(['rabi', '--min-scale', '2', '--max-scale', '2'], 0)
+check(['czgate', '--samples', '1'], 0)
+check(['czgate', '--t-total', '0'], 0)
+check(['czgate', '--t-total', '3.7e-9'], 0)
 check(['--config', {str(bad)!r}, 'feasibility'], 1)
 check(['spectrum', '--n-levels', 'x'], 1)
 check(['--help'], 0)
-assert run(['czgate'])[0] == 0
+assert run(['dynamics', '--mode', 'rwa', '--samples', '3'])[0] == 0
 print('numpy' in sys.modules)
 """
     assert _fresh_python(script).split() == ["True"]
@@ -399,14 +419,31 @@ def test_rabi_grid_is_geometric_between_its_ends(sweep):
             assert abs(Decimal(point) / exact - 1) <= bound, (k, point)
 
 
+# sweep ends: both zeros, the subnormals and the normal floats up to 1e308
+SWEEP_ENDS = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(0.0, sys.float_info.min, exclude_max=True),
+                       st.floats(0.0, 1e308))
+
+
+@settings(max_examples=300)
+@given(SWEEP_ENDS, st.integers(1, 300))
+def test_czgate_sweep_is_numpy_linspace(stop, num):
+    import numpy as np
+    sweep = cli._linspace(stop, num)
+    ref = np.linspace(0.0, stop, num).tolist()
+    # bit for bit, the sign of a zero included
+    assert [math.copysign(1.0, p) for p in sweep] == \
+        [math.copysign(1.0, p) for p in ref]
+    assert sweep == ref
+
+
 def test_rabi_grid_is_numpy_geomspace_on_libm():
     # numpy's geomspace computes the same formula, but with its AVX-512
     # log10 and power loops it differs from libm in the last bits; with
-    # those loops off the two agree bit for bit, once numpy's points are
-    # clamped to the endpoints as the grid's are
+    # every dispatched loop off, whatever names this numpy gives its CPU
+    # targets, the two agree bit for bit, once numpy's points are clamped to
+    # the endpoints as the grid's are
     from numpy._core._multiarray_umath import __cpu_dispatch__
-    above = (__cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1:]
-             if "X86_V3" in __cpu_dispatch__ else [])
     script = """
 import random
 import numpy as np
@@ -423,7 +460,7 @@ for _ in range(2000):
     assert _geomspace(start, stop, num) == ref, (start, stop, num)
 print('ok')
 """
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(above))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
     assert _fresh_python(script, env).split() == ["ok"]
 
 

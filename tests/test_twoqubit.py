@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamring.constants import FLUX_QUANTUM, HBAR, VACUUM_PERMEABILITY
-from oamring.czgate import (TwoQubitState, cz_fidelity, entangling_phase,
-                            evolve_two_qubit, phase_vector)
-from oamring.ring import level_energy
-from oamring.twoqubit import (TwoRingConfig, controlled_phase, cz_gate_time,
-                              interaction_energy, mutual_inductance_coaxial)
+from oamring.czgate import (TwoQubitState, entangling_phase, evolve_two_qubit,
+                            phase_vector)
+from oamring.ring import Material, RingDesign, derive_ring_params, level_energy
+from oamring.twoqubit import (TwoRingConfig, controlled_phase, cz_fidelity,
+                              cz_gate_time, interaction_energy,
+                              mutual_inductance_coaxial)
 
-from conftest import RING_SEPARATION
+from conftest import (LONDON_DEPTH, PAIR_DENSITY, RADIUS, RING_SEPARATION,
+                      SKIN_DEPTH)
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +178,34 @@ def test_fidelity_curve(two_ring):
     assert cz_fidelity(two_ring, 0.0) == pytest.approx(0.25, rel=1e-12)
     assert 1.0 - cz_fidelity(two_ring, t_cz) < 1e-10
     assert cz_fidelity(two_ring, 0.5 * t_cz) == pytest.approx(0.625, rel=1e-6)
+
+
+@st.composite
+def gate_runs(draw):
+    """Rings of two different wires 0.05-0.2 mm apart; t up to 100 t_CZ."""
+    material = Material(pair_density=PAIR_DENSITY, london_depth=LONDON_DEPTH,
+                        skin_depth=SKIN_DEPTH)
+    params_a, params_b = (derive_ring_params(RingDesign(
+        radius=RADIUS, width=draw(st.floats(30e-9, 120e-9)),
+        depth=draw(st.floats(5e-9, 20e-9))), material) for _ in range(2))
+    separation = draw(st.floats(0.05e-3, 0.2e-3))
+    mutual = mutual_inductance_coaxial(RADIUS, separation)
+    config = TwoRingConfig(params_a=params_a, params_b=params_b,
+                           separation=separation, mutual=mutual)
+    return config, draw(st.floats(0.0, 100.0)) * cz_gate_time(config)
+
+
+@settings(max_examples=300)
+@given(gate_runs())
+def test_cz_fidelity_matches_the_array_model(run):
+    config, t = run
+    psi0 = TwoQubitState.equal_superposition()
+    evolved = evolve_two_qubit(psi0, config, t, include_self_energy=False)
+    target = psi0.amplitudes * np.array([1.0, 1.0, 1.0, -1.0])
+    oracle = float(abs(np.vdot(target, evolved.amplitudes)) ** 2)
+    # the array model rounds the phase to 80 bits before its cos and sin,
+    # so the two part by a few ulp as the phase grows
+    assert abs(cz_fidelity(config, t) - oracle) <= 8 * math.ulp(oracle)
 
 
 def test_self_energy_phases_match_spectrum(two_ring, published_params):
