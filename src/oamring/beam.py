@@ -15,23 +15,26 @@ reconstructs the field from these harmonics on arrays of phi.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
+from .ring import _Checked
 
 _JONES_NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Polarization:
-    """Unit-norm Jones vector (ex, ey)."""
-
+class _PolarizationFields(NamedTuple):
     ex: complex
     ey: complex
 
-    def __post_init__(self):
+
+class Polarization(_Checked, _PolarizationFields):
+    """Unit-norm Jones vector (ex, ey)."""
+
+    __slots__ = ()
+
+    def _check(self):
         norm = abs(self.ex) ** 2 + abs(self.ey) ** 2
         if not abs(norm - 1.0) <= _JONES_NORM_TOL:
             raise ValueError(f"Jones vector not normalized: |ex|^2+|ey|^2 = {norm}")
@@ -64,35 +67,40 @@ POLARIZATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class BeamDrive:
-    """One helical beam at the ring: winding l, frequency, amplitude, Jones."""
-
+class _BeamDriveFields(NamedTuple):
     oam_index: int
     omega: float               # rad/s
     a0: complex                # vector-potential amplitude at the ring, kg m/(s^2 A)
     polarization: Polarization
 
-    def __post_init__(self):
+
+class BeamDrive(_Checked, _BeamDriveFields):
+    """One helical beam at the ring: winding l, frequency, amplitude, Jones."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
 
 
-@dataclass(frozen=True)
-class HarmonicTerm:
-    """One azimuthal harmonic a * exp(-i(k phi + s omega t)), s = +/-1."""
-
+class _HarmonicTermFields(NamedTuple):
     winding: int
     amplitude: complex
     time_sign: int
 
-    def __post_init__(self):
+
+class HarmonicTerm(_Checked, _HarmonicTermFields):
+    """One azimuthal harmonic a * exp(-i(k phi + s omega t)), s = +/-1."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.time_sign not in (-1, 1):
             raise ValueError("time_sign must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class HarmonicDrive:
+class HarmonicDrive(NamedTuple):
     """Azimuthal-harmonic decomposition of the phi-component of the drive.
 
     Terms come in conjugate pairs (k, a, +1) <-> (-k, conj(a), -1) so the

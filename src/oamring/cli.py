@@ -11,9 +11,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from importlib import import_module
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .beam import azimuthal_component
 from .config import (DEFAULT_SAMPLES, MODES, dumps_config, load_bundled_config,
@@ -53,8 +52,7 @@ def __getattr__(name):
 _cli = sys.modules[__name__]
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     """Uniform tabular payload every subcommand produces."""
 
     command: str

@@ -13,9 +13,8 @@ written out in ``loads_config``.
 import configparser
 import io
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from importlib import resources
-from typing import Dict, Optional
+import pkgutil
+from typing import Dict, NamedTuple, Optional
 
 from .beam import POLARIZATIONS, IntensityConvention
 from .errors import MissingSection, ParseError, UnknownKey, ValidationError
@@ -75,8 +74,7 @@ def parse_quantity(raw: str, units: Dict[str, float], field: str) -> float:
     return value * units[unit]
 
 
-@dataclass(frozen=True)
-class BeamSettings:
+class BeamSettings(NamedTuple):
     oam_index: int
     polarization: str = "linear-x"
     phase: float = 0.0                  # drive phase, arg(A0), rad
@@ -85,23 +83,20 @@ class BeamSettings:
     amplitude: Optional[float] = None   # |A0| in kg m/(s^2 A)
 
 
-@dataclass(frozen=True)
-class SimulationSettings:
+class SimulationSettings(NamedTuple):
     t_final: float = 27e-12
     tol: float = DEFAULT_TOL
     mode: str = "rwa"
     n_max: int = DEFAULT_N_MAX
 
 
-@dataclass(frozen=True)
-class Conventions:
+class Conventions(NamedTuple):
     intensity_convention: str = IntensityConvention.PAPER_CONSISTENT.value
     effective_radius_rule: str = EffectiveRadiusRule.ROSA.value
     explicit_radius: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class DesignConfig:
+class DesignConfig(NamedTuple):
     design: RingDesign
     material: Material
     beam: BeamSettings
@@ -116,18 +111,20 @@ class DesignConfig:
 
 
 # INI sections in file order, each with the DesignConfig field it fills.  The
-# keys of a section are the fields of that field's dataclass, and a key is
+# keys of a section are the fields of that field's record type, and a key is
 # optional when its field has a default.  [two_qubit] is the one exception:
 # its single required key fills the float two_qubit_separation.
 _SECTIONS = {"ring": "design", "material": "material", "beam": "beam",
              "two_qubit": "two_qubit_separation", "simulation": "simulation",
              "conventions": "conventions"}
 _SEPARATION_KEY = "ring_separation"
-_FIELD_TYPES = {f.name: f.type for f in fields(DesignConfig)}
-# section -> {key: default, or MISSING for a required key}
+_FIELD_TYPES = DesignConfig.__annotations__
+_REQUIRED = object()
+# section -> {key: default, or _REQUIRED for a required key}
 _SCHEMA = {
-    section: ({_SEPARATION_KEY: MISSING} if section == "two_qubit" else
-              {f.name: f.default for f in fields(_FIELD_TYPES[attr])})
+    section: ({_SEPARATION_KEY: _REQUIRED} if section == "two_qubit" else
+              {key: _FIELD_TYPES[attr]._field_defaults.get(key, _REQUIRED)
+               for key in _FIELD_TYPES[attr]._fields})
     for section, attr in _SECTIONS.items()}
 _REQUIRED_SECTIONS = ("ring", "material", "beam")
 # key -> (how its text is read, sign rule).  A unit table reads a quantity,
@@ -161,7 +158,7 @@ def _read(parser, section: str, key: str):
     """One key's value (SI for a quantity), or its default when absent."""
     field = f"{section}.{key}"
     if not parser.has_option(section, key):
-        if _SCHEMA[section][key] is MISSING:
+        if _SCHEMA[section][key] is _REQUIRED:
             raise ValidationError(field, "required key missing")
         return _SCHEMA[section][key]
     raw = parser.get(section, key)
@@ -252,9 +249,9 @@ def load_config(path: str) -> DesignConfig:
 
 def load_bundled_config(name: str = "paper-design") -> DesignConfig:
     """Load one of the configs shipped with the package."""
-    text = resources.files("oamring.data").joinpath(f"{name}.cfg").read_text(
-        encoding="utf-8")
-    return loads_config(text)
+    # pkgutil, not importlib.resources, which imports inspect from Python 3.12
+    data = pkgutil.get_data(__package__, f"data/{name}.cfg")
+    return loads_config(data.decode("utf-8"))
 
 
 def dumps_config(config: DesignConfig) -> str:
@@ -262,7 +259,8 @@ def dumps_config(config: DesignConfig) -> str:
     parser = configparser.ConfigParser(interpolation=None)
     for section, attr in _SECTIONS.items():
         value = getattr(config, attr)
-        items = asdict(value) if is_dataclass(value) else {_SEPARATION_KEY: value}
+        items = (value._asdict() if isinstance(value, tuple)
+                 else {_SEPARATION_KEY: value})
         written = {key: item if isinstance(item, str) else repr(item)
                    for key, item in items.items() if item is not None}
         if written:

@@ -20,8 +20,7 @@ integration over phi and is the ground truth the closed form is tested
 against.
 """
 
-from dataclasses import dataclass
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, NamedTuple, Set, Tuple
 
 from .beam import HarmonicDrive
 from .constants import COOPER_CHARGE, COOPER_MASS, HBAR
@@ -29,8 +28,7 @@ from .errors import TruncationExceeded
 from .ring import DEFAULT_N_MAX, RingParams, transition_angular_frequency
 
 
-@dataclass(frozen=True)
-class MatrixElementTerm:
+class MatrixElementTerm(NamedTuple):
     """One harmonic contribution amplitude * exp(i * beat * t) to <m|H_I|n>."""
 
     amplitude: complex      # J
@@ -38,8 +36,7 @@ class MatrixElementTerm:
     order: int              # power of the drive amplitude: 1 or 2
 
 
-@dataclass(frozen=True)
-class TransitionCatalogEntry:
+class TransitionCatalogEntry(NamedTuple):
     """A drive frequency at which |initial> <-> |final> becomes resonant."""
 
     initial: int

@@ -13,9 +13,8 @@ arrays of the ring angle.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .constants import (COOPER_CHARGE, COOPER_MASS, FLUX_QUANTUM, HBAR,
                         VACUUM_PERMEABILITY)
@@ -24,19 +23,41 @@ from .errors import NonPositiveLog
 DEFAULT_N_MAX = 8
 
 
-@dataclass(frozen=True)
-class RingDesign:
+class _Checked:
+    """Mixin that runs a ``NamedTuple`` record's ``_check`` when it is built.
+
+    A record ``class X(_Checked, _XFields)`` takes its fields from the
+    ``NamedTuple`` ``_XFields``; ``__slots__ = ()`` on X keeps it immutable.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):   # so that _replace checks too
+        return cls(*iterable)
+
+
+class _RingDesignFields(NamedTuple):
+    radius: float
+    width: float
+    depth: float
+
+
+class RingDesign(_Checked, _RingDesignFields):
     """Loop geometry: radius, wire width (in-plane) and depth (out-of-plane).
 
     The thin-wire model needs ``width << radius``; we reject anything with
     width >= radius/10.
     """
 
-    radius: float
-    width: float
-    depth: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
         if self.width <= 0.0:
@@ -49,15 +70,18 @@ class RingDesign:
             )
 
 
-@dataclass(frozen=True)
-class Material:
-    """Superconductor parameters of the film."""
-
+class _MaterialFields(NamedTuple):
     pair_density: float      # Cooper pairs per m^3
     london_depth: float      # m
     skin_depth: float        # optical skin depth, m
 
-    def __post_init__(self):
+
+class Material(_Checked, _MaterialFields):
+    """Superconductor parameters of the film."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.pair_density <= 0.0:
             raise ValueError("pair_density must be positive")
         if self.london_depth <= 0.0:
@@ -131,15 +155,7 @@ def kinetic_inductance(design: RingDesign, material: Material) -> float:
                * design.width * design.depth))
 
 
-@dataclass(frozen=True)
-class RingParams:
-    """Derived electrical model of one ring.
-
-    ``L_T == L_S + L_K`` must hold exactly; build instances through
-    :func:`derive_ring_params` unless you are deliberately pinning inductance
-    values (e.g. reproducing published numbers).
-    """
-
+class _RingParamsFields(NamedTuple):
     L_S: float
     L_K: float
     L_T: float
@@ -147,7 +163,18 @@ class RingParams:
     design: RingDesign
     material: Material
 
-    def __post_init__(self):
+
+class RingParams(_Checked, _RingParamsFields):
+    """Derived electrical model of one ring.
+
+    ``L_T == L_S + L_K`` must hold exactly; build instances through
+    :func:`derive_ring_params` unless you are deliberately pinning inductance
+    values (e.g. reproducing published numbers).
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         if self.L_S <= 0.0 or self.L_K <= 0.0:
             raise ValueError("inductances must be positive")
         if self.L_T != self.L_S + self.L_K:

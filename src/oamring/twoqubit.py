@@ -16,50 +16,54 @@ The gate acting on two-ring states as arrays (``TwoQubitState``,
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .constants import FLUX_QUANTUM, HBAR, VACUUM_PERMEABILITY
-from .ring import RingParams
+from .ring import RingParams, _Checked
+
+_NEAR_FIELD = ("separation < 10 * radius: far-field dipole formula is "
+               "inaccurate")
 
 
 def mutual_inductance_coaxial(radius: float, separation: float) -> float:
     """Far-field mutual inductance mu0 pi r^4 / (2 d^3) of coaxial loops.
 
-    Emits a warning when separation < 10 * radius, where the dipole
-    approximation behind the formula degrades.
+    Emits a ``UserWarning``, attributed to the caller, when separation <
+    10 * radius, where the dipole approximation behind the formula degrades.
     """
     mutual = _far_field_mutual(radius, separation)
     if separation < 10.0 * radius:
-        warnings.warn(
-            "separation < 10 * radius: far-field dipole formula is inaccurate",
-            stacklevel=2)
+        warnings.warn(_NEAR_FIELD, stacklevel=2)
     return mutual
 
 
 def _far_field_mutual(radius: float, separation: float) -> float:
-    # mutual_inductance_coaxial without its warning, for workbench.resolve
+    # the formula without the warning: workbench.resolve reports the range as
+    # a check, and TwoRingConfig.from_separation warns for its own caller
     if separation <= 0.0:
         raise ValueError("separation must be positive")
     return VACUUM_PERMEABILITY * math.pi * radius ** 4 / (2.0 * separation ** 3)
 
 
-@dataclass(frozen=True)
-class TwoRingConfig:
-    """Two coupled rings: their electrical models, spacing and mutual M.
-
-    ``coupling_on`` models an ideal coupling switch; the hardware that would
-    implement it is out of scope here.
-    """
-
+class _TwoRingConfigFields(NamedTuple):
     params_a: RingParams
     params_b: RingParams
     separation: float
     mutual: float
     coupling_on: bool = True
 
-    def __post_init__(self):
+
+class TwoRingConfig(_Checked, _TwoRingConfigFields):
+    """Two coupled rings: their electrical models, spacing and mutual M.
+
+    ``coupling_on`` models an ideal coupling switch; the hardware that would
+    implement it is out of scope here.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         if self.separation <= 0.0:
             raise ValueError("separation must be positive")
         if self.mutual <= 0.0:
@@ -68,8 +72,10 @@ class TwoRingConfig:
     @classmethod
     def from_separation(cls, params: RingParams,
                         separation: float) -> "TwoRingConfig":
-        """Two identical rings; M from the coaxial-loop formula."""
-        mutual = mutual_inductance_coaxial(params.design.radius, separation)
+        """Two identical rings; M and warning as in the coaxial formula."""
+        mutual = _far_field_mutual(params.design.radius, separation)
+        if separation < 10.0 * params.design.radius:
+            warnings.warn(_NEAR_FIELD, stacklevel=2)
         return cls(params_a=params, params_b=params, separation=separation,
                    mutual=mutual)
 

@@ -1,8 +1,7 @@
 """Resolve a design config into model objects and the feasibility report."""
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .beam import (POLARIZATIONS, BeamDrive, IntensityConvention,
                    amplitude_from_intensity)
@@ -15,8 +14,8 @@ from .ring import (RingParams, derive_ring_params, level_energy,
 from .twoqubit import (TwoRingConfig, _far_field_mutual, cz_gate_time,
                        interaction_energy)
 
-@dataclass(frozen=True)
-class ResolvedModel:
+
+class ResolvedModel(NamedTuple):
     """Everything the commands need, derived once from a config."""
 
     config: DesignConfig
@@ -65,22 +64,19 @@ def resolve(config: DesignConfig) -> ResolvedModel:
                          a0_magnitude=a0_mag, drive=drive, two_ring=two_ring)
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(NamedTuple):
     name: str
     value: float
     unit: str
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     status: str        # pass | marginal | fail
     detail: str
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     quantities: List[Quantity]
     checks: List[Check]
     conventions: List[str]

@@ -356,7 +356,8 @@ def test_rwa_dynamics_imports_no_scipy():
 
 def test_scalar_commands_import_no_numpy(tmp_path):
     # every command but dynamics, --help and config or usage errors compute
-    # nothing with arrays, and numpy is most of a cold start
+    # nothing with arrays, and numpy is most of a cold start; their records
+    # are NamedTuples, so dataclasses and the inspect it imports stay out too
     bad = tmp_path / "bad.cfg"
     bad.write_text(MINIMAL.replace("tol = 1e-9", "tol = 1e-3"),
                    encoding="utf-8")
@@ -368,7 +369,8 @@ from oamring.cli import run
 
 def check(argv, code):
     assert run(argv)[0] == code, argv
-    assert 'numpy' not in sys.modules, argv
+    for name in ('numpy', 'dataclasses', 'inspect'):
+        assert name not in sys.modules, (name, argv)
 
 check([], 1)
 for command in ('feasibility', 'spectrum', 'selection', 'rabi', 'czgate'):

@@ -341,15 +341,18 @@ def test_schema_doc_lists_every_key():
 
 def test_schema_doc_matches_owning_constants():
     tables = _doc_tables()
+    beam_defaults = BeamSettings._field_defaults
+    sim_defaults = SimulationSettings._field_defaults
+    conv_defaults = Conventions._field_defaults
     beam, sim, conv = tables["beam"], tables["simulation"], tables["conventions"]
     assert len(beam["amplitude"]) == 2 and "|A0|" in beam["amplitude"][0]
 
     choices, default = beam["polarization"][0].split(";")
     assert _ticked(choices) == list(POLARIZATIONS)
-    assert _ticked(default) == [BeamSettings.polarization]
+    assert _ticked(default) == [beam_defaults["polarization"]]
     for key in ("phase", "detuning"):
         default = re.search(r"\(default (\S+)\)", beam[key][0]).group(1)
-        assert float(default) == getattr(BeamSettings, key)
+        assert float(default) == beam_defaults[key]
 
     assert _ticked(sim["mode"][0]) == list(MODES)
     low, high = re.search(r"\[(.+),(.+)\]", sim["tol"][0]).groups()
@@ -358,20 +361,21 @@ def test_schema_doc_matches_owning_constants():
     assert (int(low), int(high)) == N_MAX_RANGE
     defaults = {key: _ticked(cells[1])[0] for key, cells in sim.items()}
     assert parse_quantity(defaults["t_final"], {"ps": 1e-12}, "t_final") == \
-        pytest.approx(SimulationSettings.t_final, rel=1e-15)
-    assert float(defaults["tol"]) == SimulationSettings.tol == DEFAULT_TOL
-    assert defaults["mode"] == SimulationSettings.mode
-    assert int(defaults["n_max"]) == SimulationSettings.n_max == DEFAULT_N_MAX
+        pytest.approx(sim_defaults["t_final"], rel=1e-15)
+    assert float(defaults["tol"]) == sim_defaults["tol"] == DEFAULT_TOL
+    assert defaults["mode"] == sim_defaults["mode"]
+    assert int(defaults["n_max"]) == sim_defaults["n_max"] == DEFAULT_N_MAX
 
     assert _ticked(conv["intensity_convention"][0]) == [
         c.value for c in IntensityConvention]
     assert _ticked(conv["effective_radius_rule"][0]) == [
         r.value for r in EffectiveRadiusRule]
     assert _ticked(conv["intensity_convention"][1]) == [
-        Conventions.intensity_convention]
+        conv_defaults["intensity_convention"]]
     assert _ticked(conv["effective_radius_rule"][1]) == [
-        Conventions.effective_radius_rule]
-    assert conv["explicit_radius"][1] == "-" and Conventions.explicit_radius is None
+        conv_defaults["effective_radius_rule"]]
+    assert conv["explicit_radius"][1] == "-"
+    assert conv_defaults["explicit_radius"] is None
 
 
 def test_tol_range_message_matches_doc():

@@ -40,6 +40,14 @@ def test_mutual_inductance_near_field_warning():
         mutual_inductance_coaxial(2e-6, 1e-5)
 
 
+def test_near_field_warning_names_the_caller(published_params):
+    # the warning points at the line that asked for the near-field pair
+    with pytest.warns(UserWarning, match="far-field") as caught:
+        TwoRingConfig.from_separation(published_params, 1.5e-5)
+        mutual_inductance_coaxial(2e-6, 1.5e-5)
+    assert [w.filename for w in caught] == [__file__, __file__]
+
+
 def test_interaction_energy(two_ring, published_params):
     phi0 = FLUX_QUANTUM
     for n_b in (-2, 0, 1, 2):
